@@ -1,5 +1,6 @@
 """Convex envelopes, obstacle problems, and Laplacians on regular m-branching trees."""
 
+from ._kernels import ENVELOPE_VARIANTS, LAPLACIAN_VARIANTS
 from .boundary import (
     BoundaryDatum,
     ConvergenceSeries,
@@ -30,15 +31,12 @@ from .convexity import (
 )
 from .functions import TreeFunction
 from .solver import (
-    ENVELOPE_VARIANTS,
-    LAPLACIAN_VARIANTS,
     ObstacleResult,
     SolveConfig,
     SolveReport,
     binary_envelope_exact,
     residual,
     solve_dirichlet,
-    solve_laplacian,
     solve_obstacle,
 )
 from .tree import (

@@ -3,8 +3,7 @@
 All operators read only the parent level and the successor level of the
 vertex being updated, never the vertex itself, so a whole level can be
 evaluated in one shot from a frozen value array (Jacobi) or in place in
-leaves-to-root order (Gauss-Seidel).  Every per-row computation is local to
-the row; partitioning a level into worker chunks cannot change the result.
+leaves-to-root order (Gauss-Seidel).
 """
 
 from __future__ import annotations
@@ -30,30 +29,56 @@ def full_laplacian_weights(m: int) -> tuple[float, float]:
     return c_pred, c_succ
 
 
-def check_variant(variant: str, k: int | None, m: int) -> None:
+def check_variant(variant: str, k: int | None, m: int | None = None) -> None:
+    """Validate a variant and its k; the upper bound k <= m is checked only
+    when the branching factor is known."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    if variant == "kconvex":
-        if k is None:
-            raise ValueError("variant 'kconvex' requires k")
-        if not 2 <= k <= m:
-            raise ValueError(f"k must be in [2, m={m}], got {k}")
-    elif k is not None:
-        raise ValueError(f"k is only meaningful for variant 'kconvex', got variant {variant!r}")
+    if variant != "kconvex":
+        if k is not None:
+            raise ValueError(f"k is only meaningful for variant 'kconvex', got variant {variant!r}")
+    elif k is None:
+        raise ValueError("variant 'kconvex' requires k")
+    elif k < 2 or (m is not None and k > m):
+        raise ValueError(f"k must be in [2, {'m' if m is None else f'm={m}'}], got {k}")
 
 
-def _chunk_bounds(n: int, workers: int) -> list[tuple[int, int]]:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, max(n, 1))
-    step, extra = divmod(n, workers)
-    bounds = []
-    start = 0
-    for w in range(workers):
-        stop = start + step + (1 if w < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
+# Row kernels: `succ` holds one row of successor values per vertex, `par` the
+# parent value repeated per row, or None at the root and for the variants
+# that read only the successor level.
+
+def _min_kernel(succ: np.ndarray, par: np.ndarray | None, m: int, k: int | None) -> np.ndarray:
+    """Smallest successor-pair average, and with a parent also the smallest
+    predecessor branch (u(parent) + m*u(y)) / (m + 1)."""
+    part = np.partition(succ, 1, axis=1)
+    pair = (part[:, 0] + part[:, 1]) / 2.0
+    if par is None:
+        return pair
+    return np.minimum(pair, (par + m * part[:, 0]) / (m + 1))
+
+
+def _k_smallest_mean(succ: np.ndarray, par: np.ndarray | None, m: int, k: int | None) -> np.ndarray:
+    """Smallest average over k-element successor subsets."""
+    return np.partition(succ, k - 1, axis=1)[:, :k].sum(axis=1) / k
+
+
+def _mean_kernel(succ: np.ndarray, par: np.ndarray | None, m: int, k: int | None) -> np.ndarray:
+    """Successor average, and with a parent the full-tree weighted mean."""
+    mean = succ.mean(axis=1)
+    if par is None:
+        return mean
+    c_pred, c_succ = full_laplacian_weights(m)
+    return c_pred * par + c_succ * mean
+
+
+# variant -> (row kernel, reads the parent level)
+KERNELS = {
+    "convex": (_min_kernel, True),
+    "binary": (_min_kernel, False),
+    "kconvex": (_k_smallest_mean, False),
+    "laplacian_full": (_mean_kernel, True),
+    "laplacian_arborescence": (_mean_kernel, False),
+}
 
 
 def level_operator(
@@ -62,51 +87,21 @@ def level_operator(
     level: int,
     variant: str,
     k: int | None = None,
-    workers: int = 1,
 ) -> np.ndarray:
     """Operator values for every vertex of an interior level.
 
     Reads `values` at levels `level + 1` and (for the predecessor families)
     `level - 1`; the root level uses only the successor terms.
     """
-    m = tree.m
     if not 0 <= level < tree.depth:
         raise ValueError(f"level {level} is not interior (depth {tree.depth})")
-    n = tree.level_size(level)
-    succ = values[tree.level_slice(level + 1)].reshape(n, m)
+    kernel, reads_parent = KERNELS[variant]
+    m = tree.m
+    succ = values[tree.level_slice(level + 1)].reshape(tree.level_size(level), m)
     par = None
-    if level > 0 and variant in ("convex", "laplacian_full"):
+    if reads_parent and level > 0:
         par = np.repeat(values[tree.level_slice(level - 1)], m)
-
-    out = np.empty(n)
-    for a, b in _chunk_bounds(n, workers):
-        s = succ[a:b]
-        if variant == "convex":
-            part = np.partition(s, 1, axis=1)
-            pair = (part[:, 0] + part[:, 1]) / 2.0
-            if par is None:
-                out[a:b] = pair
-            else:
-                pred = (par[a:b] + m * part[:, 0]) / (m + 1)
-                out[a:b] = np.minimum(pair, pred)
-        elif variant == "binary":
-            part = np.partition(s, 1, axis=1)
-            out[a:b] = (part[:, 0] + part[:, 1]) / 2.0
-        elif variant == "kconvex":
-            part = np.partition(s, k - 1, axis=1)
-            out[a:b] = part[:, :k].sum(axis=1) / k
-        elif variant == "laplacian_full":
-            mean = s.mean(axis=1)
-            if par is None:
-                out[a:b] = mean
-            else:
-                c_pred, c_succ = full_laplacian_weights(m)
-                out[a:b] = c_pred * par[a:b] + c_succ * mean
-        elif variant == "laplacian_arborescence":
-            out[a:b] = s.mean(axis=1)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-    return out
+    return kernel(succ, par, m, k)
 
 
 def apply_operator(
@@ -114,12 +109,11 @@ def apply_operator(
     values: np.ndarray,
     variant: str,
     k: int | None = None,
-    workers: int = 1,
 ) -> np.ndarray:
     """One simultaneous (Jacobi) application: interior vertices get their
     operator value, leaves are copied through unchanged."""
     check_variant(variant, k, tree.m)
     out = values.copy()
     for level in range(tree.depth):
-        out[tree.level_slice(level)] = level_operator(tree, values, level, variant, k, workers)
+        out[tree.level_slice(level)] = level_operator(tree, values, level, variant, k)
     return out

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import ENVELOPE_VARIANTS
-from .solver import SolveConfig, SolveReport, solve_dirichlet, solve_laplacian
+from .solver import SolveConfig, solve_dirichlet
 from .tree import TruncatedTree
 
 CONVERGENCE_LEAF_BUDGET = 2**24
@@ -227,10 +226,7 @@ def convergence_study(
     for depth in depths:
         tree = TruncatedTree(m, depth)
         leaves = sample_leaves(g, tree, sampling, subsamples)
-        if cfg.variant in ENVELOPE_VARIANTS:
-            report: SolveReport = solve_dirichlet(tree, leaves, cfg)
-        else:
-            report = solve_laplacian(tree, leaves, cfg)
+        report = solve_dirichlet(tree, leaves, cfg)
         root_values.append(float(report.solution.values[0]))
         converged.append(report.converged)
     deltas = [abs(b - a) for a, b in zip(root_values, root_values[1:])]

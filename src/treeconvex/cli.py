@@ -18,13 +18,7 @@ import numpy as np
 from .boundary import parse_datum, sample_leaves, convergence_study
 from .convexity import is_binary_convex, is_convex_operator, is_convex_segment
 from .functions import TreeFunction
-from .solver import (
-    LAPLACIAN_VARIANTS,
-    SolveConfig,
-    solve_dirichlet,
-    solve_laplacian,
-    solve_obstacle,
-)
+from .solver import SolveConfig, solve_dirichlet, solve_obstacle
 from .tree import TruncatedTree, Vertex, psi
 
 EXIT_OK = 0
@@ -85,6 +79,9 @@ def read_function_csv(path: str, tree: TruncatedTree) -> TreeFunction:
         if reader.fieldnames is None or not {"vertex", "value"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected columns 'vertex' and 'value'")
         for n, row in enumerate(reader, start=2):
+            for column in ("vertex", "value"):
+                if row[column] is None:
+                    raise ValueError(f"{path}: row {n}: missing {column!r} cell")
             try:
                 vertex = Vertex.parse(tree.m, row["vertex"])
                 flat = tree.flat_index(vertex)
@@ -96,6 +93,8 @@ def read_function_csv(path: str, tree: TruncatedTree) -> TreeFunction:
                 values[flat] = float(row["value"])
             except ValueError as exc:
                 raise ValueError(f"{path}: row {n}: bad value {row['value']!r}") from exc
+            if not np.isfinite(values[flat]):
+                raise ValueError(f"{path}: row {n}: non-finite value {row['value']!r}")
     missing = int(np.isnan(values).sum())
     if missing:
         raise ValueError(f"{path}: {missing} of {tree.vertex_count} vertices missing "
@@ -118,13 +117,9 @@ def _parse_sampling(spec: str) -> tuple[str, int]:
 
 
 def _build_config(args: argparse.Namespace) -> SolveConfig:
-    variant = VARIANT_NAMES[args.variant]
-    k = args.k if variant == "kconvex" else None
-    if variant != "kconvex" and args.k is not None:
-        raise ValueError("--k only applies to --variant kconvex")
     sweep = "jacobi" if args.sweep == "jacobi" else "gauss_seidel_level_order"
-    return SolveConfig(variant=variant, k=k, tol=args.tol, max_iter=args.max_iter,
-                       sweep=sweep, workers=args.workers)
+    return SolveConfig(variant=VARIANT_NAMES[args.variant], k=args.k, tol=args.tol,
+                       max_iter=args.max_iter, sweep=sweep)
 
 
 def _config_echo(args: argparse.Namespace, command: str) -> dict:
@@ -137,7 +132,6 @@ def _config_echo(args: argparse.Namespace, command: str) -> dict:
         "tol": args.tol,
         "max_iter": args.max_iter,
         "sweep": args.sweep,
-        "workers": args.workers,
     }
     if getattr(args, "datum", None) is not None:
         echo["datum"] = args.datum
@@ -164,10 +158,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     datum = parse_datum(args.datum)
     mode, subsamples = _parse_sampling(args.sampling)
     leaves = sample_leaves(datum, tree, mode, subsamples)
-    if cfg.variant in LAPLACIAN_VARIANTS:
-        report = solve_laplacian(tree, leaves, cfg)
-    else:
-        report = solve_dirichlet(tree, leaves, cfg)
+    report = solve_dirichlet(tree, leaves, cfg)
 
     values = report.solution.values
     if args.out_csv:
@@ -297,8 +288,6 @@ def _add_common(parser: argparse.ArgumentParser, need_depth: bool = True,
     parser.add_argument("--tol", type=float, default=1e-9 if predicate_tol else 1e-12)
     parser.add_argument("--max-iter", type=int, default=1_000_000)
     parser.add_argument("--sweep", choices=["jacobi", "gs"], default="jacobi")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="Jacobi worker chunks per level (output-invariant)")
 
 
 def _add_outputs(parser: argparse.ArgumentParser, dot: bool = True) -> None:

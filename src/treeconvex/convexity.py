@@ -24,7 +24,7 @@ from ._kernels import apply_operator, full_laplacian_weights
 from .functions import TreeFunction
 from .tree import TruncatedTree, Vertex, distance, minimal_path
 
-SEGMENT_VERTEX_BUDGET = 10_000
+SEGMENT_VERTEX_BUDGET = 512
 SUBTREE_ENUMERATION_BUDGET = 1_000_000
 
 

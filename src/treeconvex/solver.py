@@ -1,12 +1,12 @@
-"""Fixed-point solvers for the envelope equations, the obstacle problem, and
-the tree-Laplacian Dirichlet problems.
+"""Fixed-point solvers for the Dirichlet problems of the envelope equations
+and the tree Laplacians, and for the obstacle problem.
 
 All solves start from the pointwise largest admissible state (the sup of the
 leaf data, or the obstacle itself) and iterate a monotone operator, so the
-iterates descend to the largest fixed point.  Jacobi sweeps read only the
-previous iterate and are bitwise deterministic under any worker partition;
-Gauss-Seidel in fixed leaves-to-root level order reaches the same fixed
-point faster.
+iterates descend to the largest fixed point.  Both sweeps visit the levels
+leaves to root: Jacobi reads a frozen copy of the previous iterate,
+Gauss-Seidel reads the current one in place and reaches the same fixed point
+in fewer sweeps.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 from ._kernels import (
     CLIPPED_VARIANTS,
     ENVELOPE_VARIANTS,
-    LAPLACIAN_VARIANTS,
-    VARIANTS,
     apply_operator,
     check_variant,
     level_operator,
@@ -37,24 +35,15 @@ class SolveConfig:
     tol: float = 1e-12
     max_iter: int = 1_000_000
     sweep: str = "jacobi"
-    workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.variant == "kconvex":
-            if self.k is None or self.k < 2:
-                raise ValueError("variant 'kconvex' requires k >= 2")
-        elif self.k is not None:
-            raise ValueError(f"k is only meaningful for variant 'kconvex', got {self.variant!r}")
+        check_variant(self.variant, self.k)
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.sweep not in SWEEPS:
             raise ValueError(f"sweep must be one of {SWEEPS}, got {self.sweep!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -86,11 +75,11 @@ def _leaf_array(tree: TruncatedTree, leaf_values) -> np.ndarray:
     return arr
 
 
-def _defect(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
-            obstacle: np.ndarray | None) -> float:
+def _defect(tree: TruncatedTree, values: np.ndarray, variant: str, k: int | None,
+            obstacle: np.ndarray | None = None) -> float:
     """Sup-norm equation defect over interior vertices (the only vertices the
     truncated system constrains; leaves are clamped exactly)."""
-    op = apply_operator(tree, values, cfg.variant, cfg.k, cfg.workers)
+    op = apply_operator(tree, values, variant, k)
     interior = tree.interior_slice
     target = op[interior]
     if obstacle is not None:
@@ -106,46 +95,38 @@ def _iterate(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
     one, variants whose float averaging can overshoot by an ulp are clipped
     against the previous iterate so descent stays exact.
     """
-    interior = tree.interior_slice
     clip = obstacle is None and cfg.variant in CLIPPED_VARIANTS
+    jacobi = cfg.sweep == "jacobi"
     monotone = True
     iterations = 0
     converged = False
     residual_value: float | None = None
 
     while iterations < cfg.max_iter:
-        if cfg.sweep == "jacobi":
-            new = apply_operator(tree, values, cfg.variant, cfg.k, cfg.workers)
+        # Gauss-Seidel reads `values` in place, so each level sees the level
+        # below it already updated; Jacobi reads the previous iterate.
+        source = values.copy() if jacobi else values
+        change = 0.0
+        for level in range(tree.depth - 1, -1, -1):
+            sl = tree.level_slice(level)
+            new_level = level_operator(tree, source, level, cfg.variant, cfg.k)
             if obstacle is not None:
-                np.minimum(new[interior], obstacle[interior], out=new[interior])
+                np.minimum(new_level, obstacle[sl], out=new_level)
             elif clip:
-                np.minimum(new[interior], values[interior], out=new[interior])
-            change = float(np.max(np.abs(new - values)))
-            if monotone and not np.all(new <= values):
+                np.minimum(new_level, values[sl], out=new_level)
+            change = max(change, float(np.max(np.abs(new_level - values[sl]))))
+            if monotone and not np.all(new_level <= values[sl]):
                 monotone = False
-            values = new
-        else:
-            change = 0.0
-            for level in range(tree.depth - 1, -1, -1):
-                sl = tree.level_slice(level)
-                new_level = level_operator(tree, values, level, cfg.variant, cfg.k, cfg.workers)
-                if obstacle is not None:
-                    np.minimum(new_level, obstacle[sl], out=new_level)
-                elif clip:
-                    np.minimum(new_level, values[sl], out=new_level)
-                change = max(change, float(np.max(np.abs(new_level - values[sl]))))
-                if monotone and not np.all(new_level <= values[sl]):
-                    monotone = False
-                values[sl] = new_level
+            values[sl] = new_level
         iterations += 1
         if change <= cfg.tol:
-            residual_value = _defect(tree, values, cfg, obstacle)
+            residual_value = _defect(tree, values, cfg.variant, cfg.k, obstacle)
             if residual_value <= cfg.tol:
                 converged = True
                 break
 
     if residual_value is None or not converged:
-        residual_value = _defect(tree, values, cfg, obstacle)
+        residual_value = _defect(tree, values, cfg.variant, cfg.k, obstacle)
     return SolveReport(
         solution=TreeFunction(tree, values),
         iterations=iterations,
@@ -156,25 +137,12 @@ def _iterate(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
 
 
 def solve_dirichlet(tree: TruncatedTree, leaf_values, cfg: SolveConfig) -> SolveReport:
-    """Largest solution of the chosen envelope equation with the given leaf
-    data: leaves stay clamped, the interior starts at max(leaf data) and the
-    iterates descend to the fixed point."""
-    if cfg.variant not in ENVELOPE_VARIANTS:
-        raise ValueError(f"variant {cfg.variant!r} is not an envelope equation")
+    """Largest solution of the chosen equation with the given leaf data:
+    leaves stay clamped, the interior starts at max(leaf data) and the
+    iterates descend to the fixed point.  The Laplacian updates are convex
+    combinations, so the discrete maximum principle holds; the root of the
+    full-tree Laplacian uses the successor-average rule."""
     check_variant(cfg.variant, cfg.k, tree.m)
-    g = _leaf_array(tree, leaf_values)
-    values = np.empty(tree.vertex_count)
-    values[tree.leaf_slice] = g
-    values[tree.interior_slice] = g.max()
-    return _iterate(tree, values, cfg)
-
-
-def solve_laplacian(tree: TruncatedTree, leaf_values, cfg: SolveConfig) -> SolveReport:
-    """Dirichlet solve for the linear mean-value identities.  Both variants
-    are convex-combination updates, so the discrete maximum principle holds;
-    the root of the full-tree variant uses the successor-average rule."""
-    if cfg.variant not in LAPLACIAN_VARIANTS:
-        raise ValueError(f"variant {cfg.variant!r} is not a Laplacian")
     g = _leaf_array(tree, leaf_values)
     values = np.empty(tree.vertex_count)
     values[tree.leaf_slice] = g
@@ -213,7 +181,4 @@ def residual(tree: TruncatedTree, u: TreeFunction, variant: str, k: int | None =
     """Sup-norm defect of the variant's equation over interior vertices."""
     if u.tree != tree:
         raise ValueError("function lives on a different tree")
-    check_variant(variant, k, tree.m)
-    op = apply_operator(tree, u.values, variant, k)
-    interior = tree.interior_slice
-    return float(np.max(np.abs(u.values[interior] - op[interior])))
+    return _defect(tree, u.values, variant, k)

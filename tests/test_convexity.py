@@ -31,6 +31,7 @@ from treeconvex import (
     residual,
     solve_dirichlet,
 )
+from treeconvex._kernels import level_operator
 
 
 def function_with(tree, assignments, fill=0.0):
@@ -49,6 +50,31 @@ class TestOperators:
         tree = TruncatedTree(3, 2)
         u = function_with(tree, {"root": 0.0, "1.0": 3.0, "1.1": 1.0, "1.2": 2.0})
         assert op_convex(u, Vertex(3, (1,))) == pytest.approx(0.75)
+
+    def test_level_kernels_match_pointwise_operators(self):
+        """Each row of the per-variant kernel table equals the independent
+        pointwise operator at every interior vertex; at the root the full
+        Laplacian uses the successor average."""
+        rng = np.random.default_rng(37)
+        for m in (2, 3, 4):
+            tree = TruncatedTree(m, 3)
+            u = TreeFunction.from_values(tree, rng.uniform(-1, 1, tree.vertex_count))
+            runs = [("convex", None), ("binary", None), ("laplacian_full", None),
+                    ("laplacian_arborescence", None)]
+            runs += [("kconvex", k) for k in range(2, m + 1)]
+            ops = {run: [level_operator(tree, u.values, level, *run) for level in range(tree.depth)]
+                   for run in runs}
+            for x in tree.interior_vertices():
+                row = {run: ops[run][x.level][x.index] for run in runs}
+                assert row["convex", None] == op_convex(u, x), x
+                assert row["binary", None] == op_binary(u, x), x
+                for k in range(2, m + 1):
+                    assert row["kconvex", k] == op_kconvex(u, x, k), (x, k)
+                ux = u.value_at(x)
+                arb = ux + arborescence_laplacian(u, x)
+                full = arb if x.is_root else ux + laplacian_residual(u, x)
+                assert abs(row["laplacian_full", None] - full) <= 1e-15, x
+                assert abs(row["laplacian_arborescence", None] - arb) <= 1e-15, x
 
     def test_constant_is_fixed(self):
         tree = TruncatedTree(3, 2)
@@ -352,11 +378,12 @@ class TestPredicates:
                 assert predicate(total).ok
 
     def test_segment_budget_refusal(self):
-        tree = TruncatedTree(2, 14)  # 32767 vertices
-        u = TreeFunction.constant(tree, 0.0)
-        check = is_convex_segment(u)
-        assert check.ok is None
-        assert "budget" in check.skipped
+        for depth in (9, 14):  # 1023 and 32767 vertices
+            tree = TruncatedTree(2, depth)
+            u = TreeFunction.constant(tree, 0.0)
+            check = is_convex_segment(u)
+            assert check.ok is None
+            assert "budget" in check.skipped
 
     def test_subtree_mode_rel_depth_edges(self):
         rng = np.random.default_rng(59)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from treeconvex import (
+    ENVELOPE_VARIANTS,
+    LAPLACIAN_VARIANTS,
     SolveConfig,
     TreeFunction,
     TruncatedTree,
@@ -16,11 +18,11 @@ from treeconvex import (
     reference_convex_indicator,
     residual,
     solve_dirichlet,
-    solve_laplacian,
     solve_obstacle,
 )
 
 GS = "gauss_seidel_level_order"
+VARIANTS = ENVELOPE_VARIANTS + LAPLACIAN_VARIANTS
 
 
 def leaf_average_oracle(tree: TruncatedTree, leaves: np.ndarray) -> np.ndarray:
@@ -78,25 +80,32 @@ class TestDirichlet:
                 report = solve_dirichlet(tree, rng.uniform(0, 1, tree.leaf_count), cfg)
                 assert report.monotone and report.converged
 
-    def test_bitwise_determinism_runs_and_workers(self):
+    def test_bitwise_determinism_runs(self):
         rng = np.random.default_rng(71)
         tree = TruncatedTree(2, 6)
         g = rng.uniform(0, 1, tree.leaf_count)
         base = solve_dirichlet(tree, g, SolveConfig(variant="convex")).solution.values
         again = solve_dirichlet(tree, g, SolveConfig(variant="convex")).solution.values
-        chunked = solve_dirichlet(tree, g, SolveConfig(variant="convex", workers=3)).solution.values
         assert np.array_equal(base, again)
-        assert np.array_equal(base, chunked)
 
     def test_gauss_seidel_same_fixed_point_fewer_sweeps(self):
         rng = np.random.default_rng(73)
         tree = TruncatedTree(3, 5)
         g = rng.uniform(0, 1, tree.leaf_count)
-        jac = solve_dirichlet(tree, g, SolveConfig(variant="convex"))
-        gs = solve_dirichlet(tree, g, SolveConfig(variant="convex", sweep=GS))
-        np.testing.assert_allclose(jac.solution.values, gs.solution.values, atol=1e-10)
-        assert gs.monotone
-        assert gs.iterations <= jac.iterations
+        f = TreeFunction.from_values(tree, rng.uniform(0, 1, tree.vertex_count))
+        for variant in VARIANTS:
+            k = 3 if variant == "kconvex" else None
+            jac, gs = (SolveConfig(variant=variant, k=k, sweep=s) for s in ("jacobi", GS))
+            pairs = [(variant, solve_dirichlet(tree, g, jac), solve_dirichlet(tree, g, gs))]
+            if variant in ENVELOPE_VARIANTS:
+                obs_jac, obs_gs = solve_obstacle(tree, f, jac), solve_obstacle(tree, f, gs)
+                assert np.array_equal(obs_jac.coincidence_mask, obs_gs.coincidence_mask), variant
+                pairs.append((f"{variant} obstacle", obs_jac.report, obs_gs.report))
+            for label, a, b in pairs:
+                assert a.converged and b.converged and b.monotone, label
+                np.testing.assert_allclose(a.solution.values, b.solution.values,
+                                           rtol=0, atol=1e-10, err_msg=label)
+                assert b.iterations < a.iterations, label
 
     def test_comparison_principle(self):
         rng = np.random.default_rng(79)
@@ -155,8 +164,6 @@ class TestDirichlet:
 
     def test_input_validation(self):
         tree = TruncatedTree(2, 3)
-        with pytest.raises(ValueError, match="not an envelope"):
-            solve_dirichlet(tree, np.zeros(8), SolveConfig(variant="laplacian_full"))
         with pytest.raises(ValueError, match="leaf values"):
             solve_dirichlet(tree, np.zeros(5), SolveConfig(variant="convex"))
         with pytest.raises(ValueError, match="finite"):
@@ -179,8 +186,6 @@ class TestConfig:
             SolveConfig(max_iter=0)
         with pytest.raises(ValueError):
             SolveConfig(sweep="red-black")
-        with pytest.raises(ValueError):
-            SolveConfig(workers=0)
 
 
 class TestObstacle:
@@ -239,7 +244,7 @@ class TestLaplacian:
     def test_constant_everywhere(self):
         tree = TruncatedTree(3, 4)
         for variant in ("laplacian_full", "laplacian_arborescence"):
-            report = solve_laplacian(tree, np.full(tree.leaf_count, -0.5),
+            report = solve_dirichlet(tree, np.full(tree.leaf_count, -0.5),
                                      SolveConfig(variant=variant))
             assert report.converged
             np.testing.assert_allclose(report.solution.values, -0.5, atol=1e-15)
@@ -249,7 +254,7 @@ class TestLaplacian:
         for m, depth in [(2, 6), (3, 5)]:
             tree = TruncatedTree(m, depth)
             g = rng.uniform(-1, 1, tree.leaf_count)
-            report = solve_laplacian(tree, g, SolveConfig(variant="laplacian_arborescence"))
+            report = solve_dirichlet(tree, g, SolveConfig(variant="laplacian_arborescence"))
             assert report.converged and report.monotone
             np.testing.assert_allclose(report.solution.values, leaf_average_oracle(tree, g),
                                        atol=1e-10)
@@ -259,7 +264,7 @@ class TestLaplacian:
         for variant in ("laplacian_full", "laplacian_arborescence"):
             tree = TruncatedTree(2, 6)
             g = rng.uniform(-3, 7, tree.leaf_count)
-            report = solve_laplacian(tree, g, SolveConfig(variant=variant))
+            report = solve_dirichlet(tree, g, SolveConfig(variant=variant))
             assert report.converged
             u = report.solution.values
             assert np.all(u >= g.min() - 1e-12) and np.all(u <= g.max() + 1e-12)
@@ -268,14 +273,9 @@ class TestLaplacian:
         rng = np.random.default_rng(113)
         tree = TruncatedTree(3, 4)
         g = rng.uniform(0, 1, tree.leaf_count)
-        report = solve_laplacian(tree, g, SolveConfig(variant="laplacian_full"))
+        report = solve_dirichlet(tree, g, SolveConfig(variant="laplacian_full"))
         assert report.converged and report.monotone
         assert residual(tree, report.solution, "laplacian_full") <= 1e-12
-
-    def test_envelope_variant_rejected(self):
-        tree = TruncatedTree(2, 2)
-        with pytest.raises(ValueError, match="not a Laplacian"):
-            solve_laplacian(tree, np.zeros(4), SolveConfig(variant="binary"))
 
 
 class TestResidual:
