@@ -117,7 +117,7 @@ def _parse_sampling(spec: str) -> tuple[str, int]:
 
 
 def _build_config(args: argparse.Namespace) -> SolveConfig:
-    sweep = "jacobi" if args.sweep == "jacobi" else "gauss_seidel_level_order"
+    sweep = "gauss_seidel_level_order" if args.sweep == "gs" else args.sweep
     return SolveConfig(variant=VARIANT_NAMES[args.variant], k=args.k, tol=args.tol,
                        max_iter=args.max_iter, sweep=sweep)
 
@@ -152,6 +152,15 @@ def _report_dict(report) -> dict:
     }
 
 
+def _exit_code(report) -> int:
+    if report.converged:
+        return EXIT_OK
+    print(f"did not converge after {report.iterations} iterations: residual "
+          f"{report.final_residual} at vertex {report.worst_vertex}, last change "
+          f"{report.last_change}", file=sys.stderr)
+    return EXIT_NO_CONVERGENCE
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     tree = TruncatedTree(args.m, args.depth)
@@ -169,11 +178,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         payload = _config_echo(args, "solve")
         payload.update(_report_dict(report))
         write_json(args.out_json, payload)
-    if not report.converged:
-        print(f"did not converge within {cfg.max_iter} iterations "
-              f"(residual {report.final_residual})", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return _exit_code(report)
 
 
 def _check_payload(check) -> dict:
@@ -240,11 +245,7 @@ def cmd_obstacle(args: argparse.Namespace) -> int:
             "obstacle_minimizers_preserved": preserved,
         })
         write_json(args.out_json, payload)
-    if not result.report.converged:
-        print(f"did not converge within {cfg.max_iter} iterations "
-              f"(residual {result.report.final_residual})", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return _exit_code(result.report)
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
@@ -287,7 +288,9 @@ def _add_common(parser: argparse.ArgumentParser, need_depth: bool = True,
     parser.add_argument("--k", type=int, default=None, help="subset size for kconvex")
     parser.add_argument("--tol", type=float, default=1e-9 if predicate_tol else 1e-12)
     parser.add_argument("--max-iter", type=int, default=1_000_000)
-    parser.add_argument("--sweep", choices=["jacobi", "gs"], default="jacobi")
+    parser.add_argument("--sweep", choices=["direct", "jacobi", "gs"], default="direct",
+                        help="direct: exact solve (Howard policy iteration for convex); "
+                             "jacobi, gs: fixed-point sweeps")
 
 
 def _add_outputs(parser: argparse.ArgumentParser, dot: bool = True) -> None:

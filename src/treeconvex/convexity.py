@@ -144,6 +144,13 @@ class ConvexityCheck:
     skipped: str | None = None
 
 
+def _check_tol(tol: float) -> None:
+    # with a nan tol every `u > bound + tol` is False, so every check would
+    # pass; a negative tol would flag exact equalities
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+
+
 def _operator_check(u: TreeFunction, variant: str, tol: float, k: int | None = None) -> ConvexityCheck:
     tree = u.tree
     op = apply_operator(tree, u.values, variant, k)
@@ -157,6 +164,7 @@ def _operator_check(u: TreeFunction, variant: str, tol: float, k: int | None = N
 def is_convex_operator(u: TreeFunction, tol: float = 1e-9) -> ConvexityCheck:
     """u(x) <= op_convex(u, x) + tol at every interior vertex (the root is
     checked against the successor-pair term only)."""
+    _check_tol(tol)
     return _operator_check(u, "convex", tol)
 
 
@@ -192,6 +200,7 @@ def _segment_constraints(tree: TruncatedTree):
 def is_convex_segment(u: TreeFunction, tol: float = 1e-9) -> ConvexityCheck:
     """Brute force over all vertex triples x, y, z with z inside the minimal
     path [x, y]: checks the distance-weighted interpolation inequality."""
+    _check_tol(tol)
     tree = u.tree
     if tree.vertex_count > SEGMENT_VERTEX_BUDGET:
         return ConvexityCheck(
@@ -360,6 +369,7 @@ def is_binary_convex(
     """Binary convexity either via the one-step pair-min inequality at every
     interior vertex ("operator") or by brute force over all finite binary
     subtrees up to max_rel_depth ("subtrees"; None means down to the leaves)."""
+    _check_tol(tol)
     if mode == "operator":
         return _operator_check(u, "binary", tol)
     if mode != "subtrees":

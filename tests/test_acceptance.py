@@ -222,7 +222,7 @@ def test_criterion_3_binary_dp_oracle():
     """Jacobi binary envelopes match the one-pass bottom-up DP within 1e-10
     on 100 random leaf datasets."""
     rng = np.random.default_rng(3)
-    cfg = SolveConfig(variant="binary")
+    cfg = SolveConfig(variant="binary", sweep="jacobi")
     worst = 0.0
     count = 0
     for m, depth, n in [(2, 4, 20), (2, 6, 20), (2, 8, 20), (3, 3, 20), (3, 5, 20)]:
@@ -298,7 +298,7 @@ def test_criterion_5_monotone_descent():
     """Every solve from sup-initialization reports monotone = True."""
     rng = np.random.default_rng(5)
     flags = []
-    for sweep in ("jacobi", GS):
+    for sweep in ("direct", "jacobi", GS):
         for variant, m in [("convex", 2), ("convex", 3), ("binary", 2), ("binary", 3),
                            ("kconvex", 4), ("laplacian_full", 2), ("laplacian_full", 3),
                            ("laplacian_arborescence", 2), ("laplacian_arborescence", 3)]:

@@ -74,11 +74,32 @@ class TestSolve:
     def test_non_convergence_exit_code_and_artifacts(self, tmp_path, capsys):
         out_csv = tmp_path / "u.csv"
         out_json = tmp_path / "r.json"
-        code = run("solve", "--m", "2", "--depth", "5", "--datum", "power:2",
+        code = run("solve", "--m", "2", "--depth", "5", "--datum", "power:2", "--sweep", "jacobi",
                    "--max-iter", "1", "--out-csv", str(out_csv), "--out-json", str(out_json))
         assert code == 3
         assert out_csv.exists()
         assert json.loads(out_json.read_text())["converged"] is False
+        err = capsys.readouterr().err
+        assert "did not converge after 1 iterations" in err
+        assert " at vertex " in err and "last change" in err
+
+    def test_data_in_the_thousands_converge(self, tmp_path):
+        # the rounding of the direct engine's evaluation grows with the data;
+        # at these sizes it alone would stop above the default tol of 1e-12
+        datum = tmp_path / "g.csv"
+        datum.write_text("t,g\n0,3000\n0.3,0\n0.5,7000\n1,1000\n")
+        out_json = tmp_path / "r.json"
+        assert run("solve", "--m", "2", "--depth", "8", "--datum", str(datum),
+                   "--out-json", str(out_json)) == 0
+        report = json.loads(out_json.read_text())
+        assert report["converged"] is True and report["monotone"] is True
+        assert report["final_residual"] <= 1e-12
+        tree = TruncatedTree(2, 6)
+        fn = tmp_path / "f.csv"
+        write_function(fn, tree, 4096 * np.random.default_rng(7).standard_normal(tree.vertex_count))
+        assert run("obstacle", "--m", "2", "--depth", "6", "--obstacle", str(fn),
+                   "--out-json", str(out_json)) == 0
+        assert json.loads(out_json.read_text())["converged"] is True
 
     def test_invalid_config(self):
         assert run("solve", "--m", "1", "--depth", "2", "--datum", "constant:0") == 2
@@ -152,6 +173,16 @@ class TestCheck:
         checks = json.loads(out_json.read_text())["checks"]
         assert checks["convex_operator"]["ok"] is False
         assert len(checks["convex_operator"]["violations"]) > 0
+
+    def test_invalid_tol_rejected(self, tmp_path, capsys):
+        # nan passed every predicate and a negative tol failed every vertex
+        tree = TruncatedTree(2, 2)
+        fn = tmp_path / "f.csv"
+        write_function(fn, tree, np.ones(tree.vertex_count))
+        for tol in ("nan", "inf", "-1"):
+            assert run("check", "--m", "2", "--depth", "2", "--function", str(fn),
+                       "--tol", tol) == 2
+            assert "tol must be finite and non-negative" in capsys.readouterr().err
 
     def test_budget_skip_marked(self, tmp_path):
         tree = TruncatedTree(3, 4)
@@ -259,10 +290,11 @@ class TestConverge:
         assert "depth 30" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / f"{name}.csv"
-            assert run("converge", "--m", "2", "--datum", "absdev:0.5",
-                       "--depths", "4,5,6", "--out-csv", str(out)) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        for sweep in ("direct", "jacobi", "gs"):
+            outs = []
+            for name in ("a", "b"):
+                out = tmp_path / f"{sweep}-{name}.csv"
+                assert run("converge", "--m", "2", "--datum", "absdev:0.5", "--sweep", sweep,
+                           "--depths", "4,5,6", "--out-csv", str(out)) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1], sweep

@@ -330,6 +330,17 @@ class TestPredicates:
         assert is_binary_convex(u, mode="operator").ok
         assert is_binary_convex(u, mode="subtrees").ok
 
+    def test_tol_must_be_finite_and_non_negative(self):
+        u = TreeFunction.constant(TruncatedTree(2, 2), 1.0)
+        predicates = [is_convex_operator, is_convex_segment,
+                      lambda u, tol: is_binary_convex(u, tol, mode="operator"),
+                      lambda u, tol: is_binary_convex(u, tol, mode="subtrees")]
+        for predicate in predicates:
+            for tol in (np.nan, np.inf, -1.0):
+                with pytest.raises(ValueError, match="finite and non-negative"):
+                    predicate(u, tol)
+            assert predicate(u, 0.0).ok
+
     def test_spike_at_root_fails_both(self):
         tree = TruncatedTree(2, 2)
         u = function_with(tree, {"root": 5.0})
