@@ -34,7 +34,6 @@ from .solver import (
     ObstacleResult,
     SolveConfig,
     SolveReport,
-    binary_envelope_exact,
     residual,
     solve_dirichlet,
     solve_obstacle,

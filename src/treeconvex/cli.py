@@ -117,9 +117,8 @@ def _parse_sampling(spec: str) -> tuple[str, int]:
 
 
 def _build_config(args: argparse.Namespace) -> SolveConfig:
-    sweep = "gauss_seidel_level_order" if args.sweep == "gs" else args.sweep
     return SolveConfig(variant=VARIANT_NAMES[args.variant], k=args.k, tol=args.tol,
-                       max_iter=args.max_iter, sweep=sweep)
+                       max_iter=args.max_iter)
 
 
 def _config_echo(args: argparse.Namespace, command: str) -> dict:
@@ -131,7 +130,6 @@ def _config_echo(args: argparse.Namespace, command: str) -> dict:
         "k": args.k,
         "tol": args.tol,
         "max_iter": args.max_iter,
-        "sweep": args.sweep,
     }
     if getattr(args, "datum", None) is not None:
         echo["datum"] = args.datum
@@ -288,9 +286,6 @@ def _add_common(parser: argparse.ArgumentParser, need_depth: bool = True,
     parser.add_argument("--k", type=int, default=None, help="subset size for kconvex")
     parser.add_argument("--tol", type=float, default=1e-9 if predicate_tol else 1e-12)
     parser.add_argument("--max-iter", type=int, default=1_000_000)
-    parser.add_argument("--sweep", choices=["direct", "jacobi", "gs"], default="direct",
-                        help="direct: exact solve (Howard policy iteration for convex); "
-                             "jacobi, gs: fixed-point sweeps")
 
 
 def _add_outputs(parser: argparse.ArgumentParser, dot: bool = True) -> None:

@@ -2,25 +2,22 @@
 Laplacians, and for the obstacle problem.
 
 Every solve starts from the pointwise largest admissible state (the sup of
-the leaf data, or the obstacle itself) and descends to the largest solution.
-`SolveConfig.sweep` picks the engine:
+the leaf data, or the obstacle itself) and descends to the largest solution,
+exactly.  Binary, kconvex and the arborescence Laplacian read only the
+successor level, so one leaves-to-root Gauss-Seidel pass solves them, with or
+without an obstacle.  The full-tree Laplacian is one call of the tree
+primitive `_eliminate`, O(n) with no fill-in.  The convex equation is a
+minimum of such linear systems, one per choice at each vertex (pair,
+predecessor branch, or the obstacle); Howard policy iteration solves the
+system of the argmin choice at the iterate until the defect is within tol or
+the policy repeats.  Each iterate is a supersolution of the next policy's
+system, so the evaluations descend.  The rounding of an evaluation grows
+with the size of the data; when it leaves the defect above tol, Gauss-Seidel
+sweeps from a float supersolution just above the iterate finish the solve.
 
-- "direct" (the default) is exact.  Binary, kconvex and the arborescence
-  Laplacian read only the successor level, so one leaves-to-root pass solves
-  them, with or without an obstacle.  The full-tree Laplacian is one call of
-  the tree primitive `_eliminate`, O(n) with no fill-in.  The convex equation
-  is a minimum of such linear systems, one per choice at each vertex (pair,
-  predecessor branch, or the obstacle); Howard policy iteration solves the
-  system of the argmin choice at the iterate until the defect is within tol
-  or the policy repeats.  Each iterate is a supersolution of the next
-  policy's system, so the evaluations descend.  The rounding of an
-  evaluation grows with the size of the data; when it leaves the defect
-  above tol, Gauss-Seidel sweeps from a float supersolution just above the
-  iterate finish the solve.
-- "jacobi" and "gauss_seidel_level_order" iterate the monotone operator
-  level by level, leaves to root, reading a frozen copy of the previous
-  iterate or the current one in place (fewer sweeps to the same fixed
-  point).  They stay as reference engines.
+The sweep loop `_iterate` also runs Jacobi, which reads a frozen copy of the
+previous iterate instead of the current one; the tests use it as the
+reference engine.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from ._kernels import (
 from .functions import TreeFunction
 from .tree import TruncatedTree, Vertex
 
-SWEEPS = ("direct", "jacobi", "gauss_seidel_level_order")
 # Howard policy codes: `first` holds the column of the smallest successor,
 # `second` the column of its pair partner or PRED; both hold TOUCH where the
 # choice is the obstacle.
@@ -53,25 +49,22 @@ class SolveConfig:
     k: int | None = None
     tol: float = 1e-12
     max_iter: int = 1_000_000
-    sweep: str = "direct"
 
     def __post_init__(self) -> None:
         check_variant(self.variant, self.k)
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.sweep not in SWEEPS:
-            raise ValueError(f"sweep must be one of {SWEEPS}, got {self.sweep!r}")
 
 
 @dataclass
 class SolveReport:
     solution: TreeFunction
-    iterations: int  # sweeps, or policy evaluations of the direct engine plus its sweeps
+    iterations: int  # sweeps, or policy evaluations plus finishing sweeps
     final_residual: float
     converged: bool
-    monotone: bool  # no sweep or evaluation raised the iterate (for "direct": beyond tol + rounding)
+    monotone: bool  # no sweep raised the iterate, and no evaluation beyond tol + rounding
     worst_vertex: Vertex  # an interior vertex where the final defect peaks
     last_change: float  # sup-norm change made by the last sweep or evaluation
 
@@ -134,25 +127,36 @@ def _defect(tree: TruncatedTree, values: np.ndarray, variant: str, k: int | None
     return worst, at
 
 
-def _iterate(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
-             obstacle: np.ndarray | None = None) -> SolveReport:
-    """Monotone fixed-point iteration on `values` (leaves already clamped).
+def _dirichlet_start(tree: TruncatedTree, leaf_values) -> np.ndarray:
+    """The start state of a Dirichlet solve: the leaves clamped to the data,
+    the interior at its sup."""
+    g = _leaf_array(tree, leaf_values)
+    values = np.empty(tree.vertex_count)
+    values[tree.leaf_slice] = g
+    values[tree.interior_slice] = g.max()
+    return values
 
-    With an obstacle, interior updates are min(obstacle, operator); without
-    one, variants whose float averaging can overshoot by an ulp are clipped
-    against the previous iterate so descent stays exact.  The direct engine
-    runs one Gauss-Seidel pass, which is exact for the variants that read
-    only the successor level.
+
+def _iterate(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
+             obstacle: np.ndarray | None = None, *, jacobi: bool = False) -> SolveReport:
+    """Monotone fixed-point sweeps on `values` (leaves already clamped), level
+    by level from the leaves to the root, until a sweep changes no value by
+    more than tol and the defect is within it, or a change or the defect is
+    not finite.
+
+    Gauss-Seidel (the default) reads `values` in place, so each level sees
+    the level below it already updated; one such pass is exact for the
+    variants that read only the successor level.  Jacobi reads a frozen copy
+    of the previous iterate.  With an obstacle, interior updates are
+    min(obstacle, operator); without one, variants whose float averaging can
+    overshoot by an ulp are clipped against the previous iterate so descent
+    stays exact.
     """
     clip = obstacle is None and cfg.variant in CLIPPED_VARIANTS
-    jacobi = cfg.sweep == "jacobi"
-    exact = cfg.sweep == "direct"
     monotone = True
     iterations = 0
 
-    while iterations < cfg.max_iter:
-        # Gauss-Seidel reads `values` in place, so each level sees the level
-        # below it already updated; Jacobi reads the previous iterate.
+    while True:
         source = values.copy() if jacobi else values
         change = 0.0
         for level in range(tree.depth - 1, -1, -1):
@@ -162,17 +166,17 @@ def _iterate(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
                 np.minimum(new_level, obstacle[sl], out=new_level)
             elif clip:
                 np.minimum(new_level, values[sl], out=new_level)
-            change = max(change, float(np.max(np.abs(new_level - values[sl]))))
+            # np.maximum keeps a NaN change, which the builtin max drops
+            change = float(np.maximum(change, np.max(np.abs(new_level - values[sl]))))
             if monotone and not np.all(new_level <= values[sl]):
                 monotone = False
             values[sl] = new_level
         iterations += 1
-        if change <= cfg.tol or exact:
+        stop = iterations == cfg.max_iter or not np.isfinite(change)
+        if change <= cfg.tol or stop:
             defect, worst = _defect(tree, values, cfg.variant, cfg.k, obstacle)
-            if defect <= cfg.tol or exact:
+            if defect <= cfg.tol or stop or not np.isfinite(defect):
                 break
-    else:
-        defect, worst = _defect(tree, values, cfg.variant, cfg.k, obstacle)
     return SolveReport(TreeFunction(tree, values), iterations, defect, defect <= cfg.tol,
                        monotone, tree.vertex_at(worst), change)
 
@@ -339,8 +343,7 @@ def _howard(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
         # a float fixed point, as the reference engines do from the sup.  The
         # lift is not an evaluation and does not count against `monotone`.
         _lift(tree, values, cfg, obstacle, defect, prev)
-        rest = _iterate(tree, values, replace(cfg, sweep="gauss_seidel_level_order",
-                                              max_iter=cfg.max_iter - iterations), obstacle)
+        rest = _iterate(tree, values, replace(cfg, max_iter=cfg.max_iter - iterations), obstacle)
         return replace(rest, iterations=iterations + rest.iterations,
                        monotone=monotone and rest.monotone)
     return SolveReport(TreeFunction(tree, values), iterations, defect, defect <= cfg.tol,
@@ -349,9 +352,9 @@ def _howard(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
 
 def _solve(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
            obstacle: np.ndarray | None = None) -> SolveReport:
-    reads_parent = KERNELS[cfg.variant][1]
-    engine = _howard if cfg.sweep == "direct" and reads_parent else _iterate
-    return engine(tree, values, cfg, obstacle)
+    if KERNELS[cfg.variant][1]:  # reads the parent level
+        return _howard(tree, values, cfg, obstacle)
+    return _iterate(tree, values, replace(cfg, max_iter=1), obstacle)
 
 
 def solve_dirichlet(tree: TruncatedTree, leaf_values, cfg: SolveConfig) -> SolveReport:
@@ -361,11 +364,7 @@ def solve_dirichlet(tree: TruncatedTree, leaf_values, cfg: SolveConfig) -> Solve
     combinations, so the discrete maximum principle holds; the root of the
     full-tree Laplacian uses the successor-average rule."""
     check_variant(cfg.variant, cfg.k, tree.m)
-    g = _leaf_array(tree, leaf_values)
-    values = np.empty(tree.vertex_count)
-    values[tree.leaf_slice] = g
-    values[tree.interior_slice] = g.max()
-    return _solve(tree, values, cfg)
+    return _solve(tree, _dirichlet_start(tree, leaf_values), cfg)
 
 
 def solve_obstacle(tree: TruncatedTree, obstacle: TreeFunction, cfg: SolveConfig) -> ObstacleResult:
@@ -383,17 +382,6 @@ def solve_obstacle(tree: TruncatedTree, obstacle: TreeFunction, cfg: SolveConfig
     report = _solve(tree, f.copy(), cfg, obstacle=f)
     mask = np.abs(report.solution.values - f) <= cfg.tol
     return ObstacleResult(envelope=report.solution, coincidence_mask=mask, report=report)
-
-
-def binary_envelope_exact(tree: TruncatedTree, leaf_values) -> TreeFunction:
-    """One reverse-level sweep of u(x) = min successor-pair average: the exact
-    fixed point of the truncated binary system (successor-only structure)."""
-    g = _leaf_array(tree, leaf_values)
-    values = np.empty(tree.vertex_count)
-    values[tree.leaf_slice] = g
-    for level in range(tree.depth - 1, -1, -1):
-        values[tree.level_slice(level)] = level_operator(tree, values, level, "binary")
-    return TreeFunction(tree, values)
 
 
 def residual(tree: TruncatedTree, u: TreeFunction, variant: str, k: int | None = None) -> float:

@@ -19,7 +19,6 @@ from treeconvex import (
     TruncatedTree,
     Vertex,
     arborescence_laplacian,
-    binary_envelope_exact,
     eigenvalues_binary,
     eigenvalues_convex,
     is_binary_convex,
@@ -39,7 +38,7 @@ from treeconvex._kernels import apply_operator
 from treeconvex.boundary import parse_datum
 from treeconvex.cli import main as cli_main
 
-GS = "gauss_seidel_level_order"
+from engines import ENGINES, solve
 
 
 def report(number: int, slug: str, ok: bool, detail: str = "") -> None:
@@ -219,22 +218,22 @@ def test_criterion_2_characterization_equivalence():
 
 
 def test_criterion_3_binary_dp_oracle():
-    """Jacobi binary envelopes match the one-pass bottom-up DP within 1e-10
-    on 100 random leaf datasets."""
+    """Jacobi binary envelopes match the one-pass bottom-up DP (the public
+    binary solve) within 1e-10 on 100 random leaf datasets."""
     rng = np.random.default_rng(3)
-    cfg = SolveConfig(variant="binary", sweep="jacobi")
+    cfg = SolveConfig(variant="binary")
     worst = 0.0
     count = 0
     for m, depth, n in [(2, 4, 20), (2, 6, 20), (2, 8, 20), (3, 3, 20), (3, 5, 20)]:
         tree = TruncatedTree(m, depth)
         for _ in range(n):
             g = rng.uniform(-1, 1, tree.leaf_count)
-            via_solver = solve_dirichlet(tree, g, cfg).solution.values
-            via_dp = binary_envelope_exact(tree, g).values
-            worst = max(worst, float(np.max(np.abs(via_solver - via_dp))))
+            via_jacobi = solve("jacobi", tree, cfg, g).solution.values
+            via_dp = solve_dirichlet(tree, g, cfg).solution.values
+            worst = max(worst, float(np.max(np.abs(via_jacobi - via_dp))))
             count += 1
     ok = count == 100 and worst <= 1e-10
-    report(3, "binary-dp-oracle", ok, f"{count} datasets, max |solver - dp| = {worst:.2e}")
+    report(3, "binary-dp-oracle", ok, f"{count} datasets, max |jacobi - dp| = {worst:.2e}")
     assert ok, f"max deviation {worst}"
 
 
@@ -298,16 +297,16 @@ def test_criterion_5_monotone_descent():
     """Every solve from sup-initialization reports monotone = True."""
     rng = np.random.default_rng(5)
     flags = []
-    for sweep in ("direct", "jacobi", GS):
+    for engine in ENGINES:
         for variant, m in [("convex", 2), ("convex", 3), ("binary", 2), ("binary", 3),
                            ("kconvex", 4), ("laplacian_full", 2), ("laplacian_full", 3),
                            ("laplacian_arborescence", 2), ("laplacian_arborescence", 3)]:
             k = 3 if variant == "kconvex" else None
             tree = TruncatedTree(m, 5)
-            cfg = SolveConfig(variant=variant, k=k, sweep=sweep)
+            cfg = SolveConfig(variant=variant, k=k)
             for _ in range(5):
                 g = rng.uniform(-1, 1, tree.leaf_count)
-                rep = solve_dirichlet(tree, g, cfg)
+                rep = solve(engine, tree, cfg, g)
                 flags.append(rep.monotone and rep.converged)
     ok = all(flags)
     report(5, "monotone-descent", ok, f"{sum(flags)}/{len(flags)} solves monotone+converged")

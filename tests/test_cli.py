@@ -74,7 +74,7 @@ class TestSolve:
     def test_non_convergence_exit_code_and_artifacts(self, tmp_path, capsys):
         out_csv = tmp_path / "u.csv"
         out_json = tmp_path / "r.json"
-        code = run("solve", "--m", "2", "--depth", "5", "--datum", "power:2", "--sweep", "jacobi",
+        code = run("solve", "--m", "2", "--depth", "5", "--datum", "power:2",
                    "--max-iter", "1", "--out-csv", str(out_csv), "--out-json", str(out_json))
         assert code == 3
         assert out_csv.exists()
@@ -101,8 +101,22 @@ class TestSolve:
                    "--out-json", str(out_json)) == 0
         assert json.loads(out_json.read_text())["converged"] is True
 
-    def test_invalid_config(self):
+    def test_invalid_config(self, tmp_path, capsys):
         assert run("solve", "--m", "1", "--depth", "2", "--datum", "constant:0") == 2
+        # there is one solve engine, so no flag picks one
+        with pytest.raises(SystemExit) as exc:
+            run("solve", "--m", "2", "--depth", "2", "--datum", "constant:0", "--sweep", "jacobi")
+        assert exc.value.code == 2
+        # an infinite tol reported an unsolved convex solve as converged
+        fn = tmp_path / "f.csv"
+        write_function(fn, TruncatedTree(2, 2), np.zeros(7))
+        for tol in ("inf", "nan"):
+            for argv in (["solve", "--depth", "2", "--datum", "power:2"],
+                         ["obstacle", "--depth", "2", "--obstacle", str(fn)],
+                         ["converge", "--depths", "2,3", "--datum", "power:2"]):
+                capsys.readouterr()
+                assert run(*argv, "--m", "2", "--tol", tol) == 2, (tol, argv[0])
+                assert "tol must be finite and positive" in capsys.readouterr().err
         assert run("solve", "--m", "2", "--depth", "2", "--datum", "constant:0",
                    "--k", "2") == 2
         assert run("solve", "--m", "4", "--depth", "2", "--datum", "constant:0",
@@ -290,11 +304,10 @@ class TestConverge:
         assert "depth 30" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
-        for sweep in ("direct", "jacobi", "gs"):
-            outs = []
-            for name in ("a", "b"):
-                out = tmp_path / f"{sweep}-{name}.csv"
-                assert run("converge", "--m", "2", "--datum", "absdev:0.5", "--sweep", sweep,
-                           "--depths", "4,5,6", "--out-csv", str(out)) == 0
-                outs.append(out.read_bytes())
-            assert outs[0] == outs[1], sweep
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / f"{name}.csv"
+            assert run("converge", "--m", "2", "--datum", "absdev:0.5",
+                       "--depths", "4,5,6", "--out-csv", str(out)) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]

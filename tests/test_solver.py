@@ -12,7 +12,6 @@ from treeconvex import (
     TreeFunction,
     TruncatedTree,
     Vertex,
-    binary_envelope_exact,
     is_binary_convex,
     is_convex_operator,
     op_convex,
@@ -21,16 +20,10 @@ from treeconvex import (
     solve_dirichlet,
     solve_obstacle,
 )
-from treeconvex.solver import (
-    PRED,
-    SWEEPS,
-    TOUCH,
-    _ConvexPolicy,
-    _eliminate,
-    _laplacian_system,
-)
+from treeconvex.solver import PRED, TOUCH, _ConvexPolicy, _eliminate, _laplacian_system
 
-GS = "gauss_seidel_level_order"
+from engines import ENGINES, solve
+
 VARIANTS = ENVELOPE_VARIANTS + LAPLACIAN_VARIANTS
 
 
@@ -44,12 +37,12 @@ def leaf_average_oracle(tree: TruncatedTree, leaves: np.ndarray) -> np.ndarray:
     return values
 
 
-def solve_problems(tree, g, f, cfg):
+def solve_problems(engine, tree, g, f, cfg):
     """(report, coincidence mask) of the Dirichlet problem (mask None) and,
     for the envelope variants, of the obstacle problem."""
-    out = [(solve_dirichlet(tree, g, cfg), None)]
+    out = [(solve(engine, tree, cfg, g), None)]
     if cfg.variant in ENVELOPE_VARIANTS:
-        result = solve_obstacle(tree, f, cfg)
+        result = solve(engine, tree, cfg, obstacle=f)
         out.append((result.report, result.coincidence_mask))
     return out
 
@@ -57,13 +50,13 @@ def solve_problems(tree, g, f, cfg):
 class TestDirichlet:
     def test_constant_data_one_iteration(self):
         tree = TruncatedTree(3, 4)
-        for sweep in SWEEPS:
+        for engine in ENGINES:
             for variant in ("convex", "binary"):
-                report = solve_dirichlet(tree, np.full(tree.leaf_count, 2.5),
-                                         SolveConfig(variant=variant, sweep=sweep))
-                assert report.iterations == 1, (sweep, variant)
-                assert report.converged and report.monotone, (sweep, variant)
-                assert np.all(report.solution.values == 2.5), (sweep, variant)
+                report = solve(engine, tree, SolveConfig(variant=variant),
+                               np.full(tree.leaf_count, 2.5))
+                assert report.iterations == 1, (engine, variant)
+                assert report.converged and report.monotone, (engine, variant)
+                assert np.all(report.solution.values == 2.5), (engine, variant)
 
     def test_binary_hand_example(self):
         tree = TruncatedTree(2, 2)
@@ -81,35 +74,37 @@ class TestDirichlet:
         assert report.converged
 
     def test_binary_dp_oracle_agreement(self):
+        """The public binary solve is the one-pass DP; Jacobi reaches the
+        same fixed point by iterating."""
         rng = np.random.default_rng(61)
-        cfg = SolveConfig(variant="binary", sweep="jacobi")
+        cfg = SolveConfig(variant="binary")
         for m, depth in [(2, 5), (3, 4)]:
             tree = TruncatedTree(m, depth)
             for _ in range(10):
                 g = rng.uniform(-1, 1, tree.leaf_count)
-                via_solver = solve_dirichlet(tree, g, cfg).solution.values
-                via_dp = binary_envelope_exact(tree, g).values
-                np.testing.assert_allclose(via_solver, via_dp, atol=1e-10)
+                via_jacobi = solve("jacobi", tree, cfg, g).solution.values
+                via_dp = solve_dirichlet(tree, g, cfg).solution.values
+                np.testing.assert_allclose(via_jacobi, via_dp, atol=1e-10)
 
     def test_monotone_descent_flag(self):
         rng = np.random.default_rng(67)
-        for sweep in SWEEPS:
+        for engine in ENGINES:
             for variant, k in [("convex", None), ("binary", None), ("kconvex", 3)]:
                 tree = TruncatedTree(4 if variant == "kconvex" else 3, 4)
-                cfg = SolveConfig(variant=variant, k=k, sweep=sweep)
+                cfg = SolveConfig(variant=variant, k=k)
                 for _ in range(5):
-                    report = solve_dirichlet(tree, rng.uniform(0, 1, tree.leaf_count), cfg)
-                    assert report.monotone and report.converged, (sweep, variant)
+                    report = solve(engine, tree, cfg, rng.uniform(0, 1, tree.leaf_count))
+                    assert report.monotone and report.converged, (engine, variant)
 
     def test_bitwise_determinism_runs(self):
         rng = np.random.default_rng(71)
         tree = TruncatedTree(2, 6)
         g = rng.uniform(0, 1, tree.leaf_count)
-        for sweep in SWEEPS:
-            cfg = SolveConfig(variant="convex", sweep=sweep)
-            base = solve_dirichlet(tree, g, cfg).solution.values
-            again = solve_dirichlet(tree, g, cfg).solution.values
-            assert np.array_equal(base, again), sweep
+        cfg = SolveConfig(variant="convex")
+        for engine in ENGINES:
+            base = solve(engine, tree, cfg, g).solution.values
+            again = solve(engine, tree, cfg, g).solution.values
+            assert np.array_equal(base, again), engine
 
     def test_gauss_seidel_same_fixed_point_fewer_sweeps(self):
         rng = np.random.default_rng(73)
@@ -118,10 +113,10 @@ class TestDirichlet:
         f = TreeFunction.from_values(tree, rng.uniform(0, 1, tree.vertex_count))
         for variant in VARIANTS:
             k = 3 if variant == "kconvex" else None
-            jac, gs = (SolveConfig(variant=variant, k=k, sweep=s) for s in ("jacobi", GS))
-            pairs = [(variant, solve_dirichlet(tree, g, jac), solve_dirichlet(tree, g, gs))]
+            cfg = SolveConfig(variant=variant, k=k)
+            pairs = [(variant, solve("jacobi", tree, cfg, g), solve("gs", tree, cfg, g))]
             if variant in ENVELOPE_VARIANTS:
-                obs_jac, obs_gs = solve_obstacle(tree, f, jac), solve_obstacle(tree, f, gs)
+                obs_jac, obs_gs = (solve(e, tree, cfg, obstacle=f) for e in ("jacobi", "gs"))
                 assert np.array_equal(obs_jac.coincidence_mask, obs_gs.coincidence_mask), variant
                 pairs.append((f"{variant} obstacle", obs_jac.report, obs_gs.report))
             for label, a, b in pairs:
@@ -133,32 +128,32 @@ class TestDirichlet:
     def test_comparison_principle(self):
         rng = np.random.default_rng(79)
         tree = TruncatedTree(2, 5)
-        for sweep in SWEEPS:
+        for engine in ENGINES:
             for variant in ("convex", "binary"):
-                cfg = SolveConfig(variant=variant, sweep=sweep)
+                cfg = SolveConfig(variant=variant)
                 for _ in range(10):
                     g1 = rng.uniform(0, 1, tree.leaf_count)
                     g2 = g1 - rng.uniform(0, 0.5, tree.leaf_count)
-                    u1 = solve_dirichlet(tree, g1, cfg).solution.values
-                    u2 = solve_dirichlet(tree, g2, cfg).solution.values
-                    assert np.all(u2 <= u1 + 1e-10), (sweep, variant)
+                    u1 = solve(engine, tree, cfg, g1).solution.values
+                    u2 = solve(engine, tree, cfg, g2).solution.values
+                    assert np.all(u2 <= u1 + 1e-10), (engine, variant)
 
     def test_largest_solution_dominates_subsolutions(self):
         rng = np.random.default_rng(83)
         tree = TruncatedTree(3, 4)
         g = rng.uniform(0, 1, tree.leaf_count)
         floor = g.min()
-        for sweep in SWEEPS:
-            u = solve_dirichlet(tree, g, SolveConfig(variant="convex", sweep=sweep)).solution.values
+        for engine in ENGINES:
+            u = solve(engine, tree, SolveConfig(variant="convex"), g).solution.values
             for alpha in (0.0, 0.3, 0.9):
                 damped = alpha * u + (1 - alpha) * floor
-                assert np.all(damped <= u + 1e-10), sweep
+                assert np.all(damped <= u + 1e-10), engine
             # scaled indicator subsolutions built independently of u
             for x0 in [Vertex(3, (0,)), Vertex(3, (2, 1))]:
                 ref = reference_convex_indicator(tree, x0)
                 scale = float(g[np.nonzero(ref.leaf_values > 0)[0]].min())
                 v = scale * ref.values
-                assert np.all(v <= u + 1e-10), sweep
+                assert np.all(v <= u + 1e-10), engine
 
     def test_envelope_ordering_binary_above_convex(self):
         rng = np.random.default_rng(89)
@@ -180,8 +175,7 @@ class TestDirichlet:
     def test_non_convergence_reported(self):
         tree = TruncatedTree(2, 5)
         g = np.linspace(0, 1, tree.leaf_count)
-        report = solve_dirichlet(tree, g, SolveConfig(variant="convex", max_iter=1,
-                                                      sweep="jacobi"))
+        report = solve("jacobi", tree, SolveConfig(variant="convex", max_iter=1), g)
         assert not report.converged
         assert report.iterations == 1
         assert report.final_residual > 1e-12
@@ -215,13 +209,13 @@ class TestDirect:
             f = TreeFunction.from_values(tree, rng.standard_normal(tree.vertex_count))
             for variant in VARIANTS:
                 for k in range(2, m + 1) if variant == "kconvex" else [None]:
-                    direct, jacobi = (SolveConfig(variant=variant, k=k, sweep=s)
-                                      for s in ("direct", "jacobi"))
-                    runs = [solve_problems(tree, g, f, cfg) for cfg in (direct, jacobi, direct)]
+                    cfg = SolveConfig(variant=variant, k=k)
+                    runs = [solve_problems(engine, tree, g, f, cfg)
+                            for engine in ("direct", "jacobi", "direct")]
                     for problem, ((a, mask_a), (b, mask_b), (again, _)) in enumerate(zip(*runs)):
                         label = f"m={m} {variant} k={k} obstacle={bool(problem)}"
                         assert a.converged and a.monotone, label
-                        assert a.final_residual <= direct.tol, label
+                        assert a.final_residual <= cfg.tol, label
                         np.testing.assert_allclose(a.solution.values, b.solution.values,
                                                    rtol=0, atol=1e-10, err_msg=label)
                         assert np.array_equal(mask_a, mask_b), label
@@ -308,8 +302,9 @@ class TestDirect:
                 sf = TreeFunction.from_values(tree, scale * f.values)
                 for variant in ("convex", "laplacian_full"):
                     direct = SolveConfig(variant=variant, max_iter=1000)
-                    jacobi = SolveConfig(variant=variant, sweep="jacobi")
-                    runs = [solve_problems(tree, scale * g, sf, cfg) for cfg in (direct, jacobi)]
+                    jacobi = SolveConfig(variant=variant)
+                    runs = [solve_problems(engine, tree, scale * g, sf, cfg)
+                            for engine, cfg in [("direct", direct), ("jacobi", jacobi)]]
                     for (a, mask_a), (b, mask_b) in zip(*runs):
                         label = f"m={m} scale={scale} {variant} obstacle={mask_a is not None}"
                         assert a.converged and a.monotone and b.converged, label
@@ -330,19 +325,45 @@ class TestDirect:
 
     def test_overflow_not_converged(self):
         """Leaf values near the float maximum overflow the pair averages;
-        the NaN or inf defect is reported as non-convergence by every engine,
-        and the direct engine stops after its first evaluation."""
+        the NaN or inf defect is reported as non-convergence by every engine.
+        At the default max_iter the direct engine stops after its first
+        evaluation and the reference sweeps within 2 sweeps, once a change or
+        the defect is not finite."""
         tree = TruncatedTree(2, 3)
         g = np.linspace(1.5e308, 1.7e308, tree.leaf_count)
         with np.errstate(over="ignore", invalid="ignore"):
-            for sweep in SWEEPS:
+            for engine in ENGINES:
                 for variant in ("convex", "laplacian_full"):
-                    cfg = SolveConfig(variant=variant, sweep=sweep, max_iter=50)
-                    report = solve_dirichlet(tree, g, cfg)
-                    label = (sweep, variant)
+                    report = solve(engine, tree, SolveConfig(variant=variant), g)
+                    label = (engine, variant)
                     assert not report.converged, label
                     assert not np.isfinite(report.final_residual), label
-                    assert sweep != "direct" or report.iterations == 1, label
+                    assert report.iterations <= (1 if engine == "direct" else 2), label
+
+    def test_nan_change_stops_reference_sweeps(self, monkeypatch):
+        """A NaN on the first level a sweep updates reaches `last_change`
+        (the builtin max drops it) and stops the sweeps at once."""
+        import treeconvex.solver as solver
+
+        real = solver.level_operator
+        tree = TruncatedTree(2, 4)
+        for engine in ("jacobi", "gs"):
+            poisoned = []
+
+            def level_operator(tree, values, level, variant, k=None):
+                op = real(tree, values, level, variant, k)
+                if not poisoned:
+                    poisoned.append(level)
+                    op[0] = np.nan
+                return op
+
+            monkeypatch.setattr(solver, "level_operator", level_operator)
+            with np.errstate(invalid="ignore"):
+                report = solve(engine, tree, SolveConfig(max_iter=50),
+                               np.linspace(0, 1, tree.leaf_count))
+            assert poisoned == [tree.depth - 1], engine
+            assert report.iterations == 1 and not report.converged, engine
+            assert np.isnan(report.last_change) and np.isnan(report.final_residual), engine
 
 
 class TestConfig:
@@ -357,8 +378,9 @@ class TestConfig:
             SolveConfig(tol=0.0)
         with pytest.raises(ValueError):
             SolveConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            SolveConfig(sweep="red-black")
+        for tol in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                SolveConfig(tol=tol)
 
 
 class TestObstacle:
