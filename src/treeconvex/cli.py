@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ from .boundary import parse_datum, sample_leaves, convergence_study
 from .convexity import is_binary_convex, is_convex_operator, is_convex_segment
 from .functions import TreeFunction
 from .solver import SolveConfig, solve_dirichlet, solve_obstacle
-from .tree import TruncatedTree, Vertex, psi
+from .tree import TruncatedTree, Vertex
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,29 +41,36 @@ def _fmt(x: float) -> str:
 
 def write_solution_csv(path: str, tree: TruncatedTree, values: np.ndarray,
                        coincidence: np.ndarray | None = None) -> None:
+    """One row per vertex in flat order.  The psi column is the correctly
+    rounded index / m^level (exact integers below 2^53, one IEEE division)."""
     header = "vertex,level,index,psi,value"
     if coincidence is not None:
         header += ",coincidence"
-    lines = [header]
-    for flat, v in enumerate(tree.vertices()):
-        row = f"{v},{v.level},{v.index},{_fmt(float(psi(v)))},{_fmt(values[flat])}"
-        if coincidence is not None:
-            row += f",{'true' if coincidence[flat] else 'false'}"
-        lines.append(row)
+    labels = tree.labels()
+    values = np.asarray(values, dtype=np.float64)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for level in range(tree.depth + 1):
+            rows = tree.level_slice(level)
+            n = rows.stop - rows.start
+            columns = [labels[rows], [str(level)] * n, map(str, range(n)),
+                       map(repr, (np.arange(n) / float(n)).tolist()),
+                       map(repr, values[rows].tolist())]
+            if coincidence is not None:
+                columns.append(["true" if c else "false" for c in coincidence[rows].tolist()])
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def write_dot(path: str, tree: TruncatedTree, values: np.ndarray) -> None:
-    lines = ["digraph tree {"]
-    for flat, v in enumerate(tree.vertices()):
-        lines.append(f'  "{v}" [label="{v}\\n{_fmt(values[flat])}"];')
-    for v in tree.vertices():
-        if not v.is_root:
-            lines.append(f'  "{v.parent}" -> "{v}";')
-    lines.append("}")
+    labels = tree.labels()
+    values = np.asarray(values, dtype=np.float64).tolist()
+    m = tree.m
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("digraph tree {\n")
+        fh.writelines(f'  "{v}" [label="{v}\\n{x!r}"];\n' for v, x in zip(labels, values))
+        fh.writelines(f'  "{labels[(i - 1) // m]}" -> "{labels[i]}";\n'
+                      for i in range(1, len(labels)))
+        fh.write("}\n")
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -72,30 +80,45 @@ def write_json(path: str, payload: dict) -> None:
 
 def read_function_csv(path: str, tree: TruncatedTree) -> TreeFunction:
     """Read a function CSV (needs 'vertex' and 'value' columns) covering the
-    whole truncated tree exactly once."""
-    values = np.full(tree.vertex_count, np.nan)
+    whole truncated tree exactly once.  Errors name the file line of the row."""
+    flat_of = {label: flat for flat, label in enumerate(tree.labels())}
+    values = np.zeros(tree.vertex_count)
+    seen = bytearray(tree.vertex_count)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"vertex", "value"} <= set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not {"vertex", "value"} <= set(header):
             raise ValueError(f"{path}: expected columns 'vertex' and 'value'")
-        for n, row in enumerate(reader, start=2):
-            for column in ("vertex", "value"):
-                if row[column] is None:
+        for column in ("vertex", "value"):
+            if header.count(column) > 1:
+                raise ValueError(f"{path}: duplicate column {column!r}")
+        cells = {"vertex": header.index("vertex"), "value": header.index("value")}
+        for row in reader:
+            if not row:
+                continue
+            n = reader.line_num
+            for column, cell in cells.items():
+                if cell >= len(row):
                     raise ValueError(f"{path}: row {n}: missing {column!r} cell")
+            text, value_text = row[cells["vertex"]], row[cells["value"]]
+            flat = flat_of.get(text)
+            if flat is None:
+                # non-canonical text such as "00" or "1.02" names a vertex too
+                try:
+                    flat = tree.flat_index(Vertex.parse(tree.m, text))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: row {n}: {exc}") from exc
+            if seen[flat]:
+                raise ValueError(f"{path}: row {n}: duplicate vertex {text!r}")
             try:
-                vertex = Vertex.parse(tree.m, row["vertex"])
-                flat = tree.flat_index(vertex)
+                value = float(value_text)
             except ValueError as exc:
-                raise ValueError(f"{path}: row {n}: {exc}") from exc
-            if not np.isnan(values[flat]):
-                raise ValueError(f"{path}: row {n}: duplicate vertex {row['vertex']!r}")
-            try:
-                values[flat] = float(row["value"])
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {n}: bad value {row['value']!r}") from exc
-            if not np.isfinite(values[flat]):
-                raise ValueError(f"{path}: row {n}: non-finite value {row['value']!r}")
-    missing = int(np.isnan(values).sum())
+                raise ValueError(f"{path}: row {n}: bad value {value_text!r}") from exc
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: row {n}: non-finite value {value_text!r}")
+            values[flat] = value
+            seen[flat] = 1
+    missing = seen.count(0)
     if missing:
         raise ValueError(f"{path}: {missing} of {tree.vertex_count} vertices missing "
                          f"for m={tree.m}, depth={tree.depth}")
@@ -179,7 +202,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return _exit_code(report)
 
 
-def _check_payload(check) -> dict:
+def _check_payload(check, labels: list[str]) -> dict:
     out: dict = {}
     if check.skipped is not None:
         out["skipped"] = check.skipped
@@ -187,7 +210,7 @@ def _check_payload(check) -> dict:
     else:
         out["ok"] = check.ok
         out["checked"] = check.checked
-        out["violations"] = [str(v) for v in check.violations]
+        out["violations"] = [labels[i] for i in check._flat]
     return out
 
 
@@ -195,11 +218,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     tree = TruncatedTree(args.m, args.depth)
     u = read_function_csv(args.function, tree)
     tol = args.tol
+    labels = tree.labels()
     checks = {
-        "convex_operator": _check_payload(is_convex_operator(u, tol)),
-        "binary_operator": _check_payload(is_binary_convex(u, tol, mode="operator")),
-        "segment": _check_payload(is_convex_segment(u, tol)),
-        "binary_subtrees": _check_payload(is_binary_convex(u, tol, mode="subtrees")),
+        "convex_operator": _check_payload(is_convex_operator(u, tol), labels),
+        "binary_operator": _check_payload(is_binary_convex(u, tol, mode="operator"), labels),
+        "segment": _check_payload(is_convex_segment(u, tol), labels),
+        "binary_subtrees": _check_payload(is_binary_convex(u, tol, mode="subtrees"), labels),
     }
     payload = {
         "command": "check",

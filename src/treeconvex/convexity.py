@@ -13,7 +13,7 @@ fixed desk-scale budget instead of silently running forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -135,13 +135,23 @@ class ConvexityCheck:
     """Outcome of a convexity predicate.
 
     `ok` is None when the check was skipped (brute-force budget exceeded);
-    `skipped` then carries the reason.
+    `skipped` then carries the reason.  The violating vertices are kept as
+    flat indices of `_tree`, in the order found; `violations` builds them.
     """
 
     ok: bool | None
-    violations: list[Vertex]
     checked: int
     skipped: str | None = None
+    _tree: TruncatedTree | None = field(default=None, repr=False)
+    _flat: list[int] = field(default_factory=list)
+
+    @property
+    def violations(self) -> list[Vertex]:
+        return [self._tree.vertex_at(i) for i in self._flat]
+
+
+def _verdict(tree: TruncatedTree, flat: list[int], checked: int) -> ConvexityCheck:
+    return ConvexityCheck(ok=not flat, checked=checked, _tree=tree, _flat=flat)
 
 
 def _check_tol(tol: float) -> None:
@@ -156,9 +166,7 @@ def _operator_check(u: TreeFunction, variant: str, tol: float, k: int | None = N
     op = apply_operator(tree, u.values, variant, k)
     interior = tree.interior_slice
     bad = np.nonzero(u.values[interior] > op[interior] + tol)[0]
-    violations = [tree.vertex_at(int(i)) for i in bad]
-    return ConvexityCheck(ok=len(violations) == 0, violations=violations,
-                          checked=tree.interior_count)
+    return _verdict(tree, bad.tolist(), tree.interior_count)
 
 
 def is_convex_operator(u: TreeFunction, tol: float = 1e-9) -> ConvexityCheck:
@@ -204,17 +212,13 @@ def is_convex_segment(u: TreeFunction, tol: float = 1e-9) -> ConvexityCheck:
     tree = u.tree
     if tree.vertex_count > SEGMENT_VERTEX_BUDGET:
         return ConvexityCheck(
-            ok=None, violations=[], checked=0,
+            ok=None, checked=0,
             skipped=f"budget: {tree.vertex_count} vertices exceed "
                     f"{SEGMENT_VERTEX_BUDGET} for the segment brute force")
     iz, ix, iy, wx, wy = _segment_constraints(tree)
     vals = u.values
     bad = vals[iz] > wx * vals[ix] + wy * vals[iy] + tol
-    seen: dict[int, None] = {}
-    for i in iz[np.nonzero(bad)[0]]:
-        seen.setdefault(int(i))
-    violations = [tree.vertex_at(i) for i in seen]
-    return ConvexityCheck(ok=len(violations) == 0, violations=violations, checked=len(iz))
+    return _verdict(tree, list(dict.fromkeys(iz[bad].tolist())), len(iz))
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +383,12 @@ def is_binary_convex(
         roots, endpoints, weights = _subtree_constraint_arrays(tree, max_rel_depth)
     except ValueError as exc:
         if "budget" in str(exc):
-            return ConvexityCheck(ok=None, violations=[], checked=0, skipped=str(exc))
+            return ConvexityCheck(ok=None, checked=0, skipped=str(exc))
         raise
     vals = u.values
     averages = (weights * vals[endpoints]).sum(axis=1)
     bad = vals[roots] > averages + tol
-    seen: dict[int, None] = {}
-    for i in roots[np.nonzero(bad)[0]]:
-        seen.setdefault(int(i))
-    violations = [tree.vertex_at(i) for i in seen]
-    return ConvexityCheck(ok=len(violations) == 0, violations=violations, checked=len(roots))
+    return _verdict(tree, list(dict.fromkeys(roots[bad].tolist())), len(roots))
 
 
 # ---------------------------------------------------------------------------

@@ -42,16 +42,9 @@ class TreeFunction:
     def __getitem__(self, v: Vertex) -> float:
         return self.value_at(v)
 
-    def level_values(self, level: int) -> np.ndarray:
-        return self.values[self.tree.level_slice(level)]
-
     @property
     def leaf_values(self) -> np.ndarray:
         return self.values[self.tree.leaf_slice]
-
-    @property
-    def interior_values(self) -> np.ndarray:
-        return self.values[self.tree.interior_slice]
 
     def copy(self) -> TreeFunction:
         return TreeFunction(self.tree, self.values.copy())

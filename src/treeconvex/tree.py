@@ -275,6 +275,14 @@ class TruncatedTree:
             for index in range(self.level_size(level)):
                 yield Vertex.from_level_index(self.m, level, index)
 
-    def leaves(self) -> Iterator[Vertex]:
-        for index in range(self.leaf_count):
-            yield Vertex.from_level_index(self.m, self.depth, index)
+    def labels(self) -> list[str]:
+        """The dotted text form of every vertex in flat order, equal to
+        `[str(v) for v in self.vertices()]`; each level is built from the
+        labels of the level above, without a `Vertex` per row."""
+        digits = [str(d) for d in range(self.m)]
+        level = digits
+        out = [ROOT_TEXT, *level]
+        for _ in range(1, self.depth):
+            level = [prefix + d for prefix in [p + "." for p in level] for d in digits]
+            out += level
+        return out

@@ -13,11 +13,15 @@ from treeconvex import (
     TreeFunction,
     TruncatedTree,
     Vertex,
+    is_binary_convex,
+    is_convex_operator,
+    is_convex_segment,
+    psi,
     reference_binary_indicator,
     reference_convex_indicator,
     solve_dirichlet,
 )
-from treeconvex.cli import main, read_function_csv, write_solution_csv
+from treeconvex.cli import main, read_function_csv, write_dot, write_solution_csv
 
 
 def run(*argv):
@@ -26,6 +30,40 @@ def run(*argv):
 
 def write_function(path, tree, values):
     write_solution_csv(str(path), tree, np.asarray(values, dtype=np.float64))
+
+
+def oracle_solution_csv(tree, values, coincidence=None):
+    """The per-vertex writer: a `Vertex` and an exact `Fraction` psi per row."""
+    header = "vertex,level,index,psi,value"
+    if coincidence is not None:
+        header += ",coincidence"
+    lines = [header]
+    for flat, v in enumerate(tree.vertices()):
+        row = f"{v},{v.level},{v.index},{float(psi(v))!r},{float(values[flat])!r}"
+        if coincidence is not None:
+            row += ",true" if coincidence[flat] else ",false"
+        lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+def oracle_dot(tree, values):
+    lines = ["digraph tree {"]
+    lines += [f'  "{v}" [label="{v}\\n{float(values[flat])!r}"];'
+              for flat, v in enumerate(tree.vertices())]
+    lines += [f'  "{v.parent}" -> "{v}";' for v in tree.vertices() if not v.is_root]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def artifact_data(tree, seed):
+    """Random values with signed zero, the extremes of the float range and
+    integers among them."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(tree.vertex_count) * 10.0 ** rng.integers(-8, 9, tree.vertex_count)
+    special = [-0.0, 1e300, 5e-324, 0.0, 3.0, -12.0, 2.0**53, -1e300, 0.1]
+    for i, x in enumerate(special):
+        values[(i * 7919) % tree.vertex_count] = x
+    return values
 
 
 class TestSolve:
@@ -243,6 +281,76 @@ class TestCheck:
             fn.write_text("vertex,value\n" + "\n".join(rows[:5] + [bad_row] + rows[6:]) + "\n")
             assert run("check", "--m", "2", "--depth", "2", "--function", str(fn)) == 2
             assert f"{fn}: row 7: {message}" in capsys.readouterr().err
+
+        # the row number is the file line, blank lines included
+        fn.write_text("vertex,value\nroot,0\n\n\n1,0\n0,x\n")
+        assert run("check", "--m", "2", "--depth", "1", "--function", str(fn)) == 2
+        assert f"{fn}: row 6: bad value 'x'" in capsys.readouterr().err
+
+        # a repeated column name is refused, not read from its last copy
+        for header, column in [("vertex,value,vertex", "vertex"), ("value,vertex,value", "value")]:
+            fn.write_text(header + "\n" + "\n".join(
+                f"{v},0,x" for v in tree.vertices()) + "\n")
+            assert run("check", "--m", "2", "--depth", "2", "--function", str(fn)) == 2
+            assert f"{fn}: duplicate column '{column}'" in capsys.readouterr().err
+
+    def test_violation_lists_match_library(self, tmp_path):
+        tree = TruncatedTree(2, 5)
+        u = TreeFunction.from_values(tree, np.random.default_rng(3).standard_normal(tree.vertex_count))
+        fn = tmp_path / "f.csv"
+        write_function(fn, tree, u.values)
+        out_json = tmp_path / "checks.json"
+        assert run("check", "--m", "2", "--depth", "5", "--function", str(fn),
+                   "--out-json", str(out_json)) == 0
+        checks = json.loads(out_json.read_text())["checks"]
+        library = {"convex_operator": is_convex_operator(u),
+                   "binary_operator": is_binary_convex(u, mode="operator"),
+                   "segment": is_convex_segment(u),
+                   "binary_subtrees": is_binary_convex(u, mode="subtrees")}
+        for name, check in library.items():
+            assert check.violations, name
+            assert checks[name]["violations"] == [str(v) for v in check.violations], name
+
+
+class TestArtifactBytes:
+    CASES = [(2, 1), (2, 4), (2, 12), (3, 1), (3, 3), (3, 7), (5, 1), (5, 2), (5, 5)]
+
+    @pytest.mark.parametrize("m,depth", CASES)
+    def test_writers_match_per_vertex_oracle(self, tmp_path, m, depth):
+        tree = TruncatedTree(m, depth)
+        values = artifact_data(tree, 1000 * m + depth)
+        coincidence = np.random.default_rng(depth).random(tree.vertex_count) < 0.5
+        path = tmp_path / "u.csv"
+        write_solution_csv(str(path), tree, values)
+        assert path.read_bytes() == oracle_solution_csv(tree, values).encode()
+        write_solution_csv(str(path), tree, values, coincidence=coincidence)
+        assert path.read_bytes() == oracle_solution_csv(tree, values, coincidence).encode()
+        dot = tmp_path / "t.dot"
+        write_dot(str(dot), tree, values)
+        assert dot.read_bytes() == oracle_dot(tree, values).encode()
+
+    @pytest.mark.parametrize("m,depth", [(2, 12), (3, 7), (5, 5)])
+    def test_read_round_trip_is_bitwise(self, tmp_path, m, depth):
+        tree = TruncatedTree(m, depth)
+        values = artifact_data(tree, depth)
+        path = tmp_path / "u.csv"
+        write_solution_csv(str(path), tree, values)
+        assert read_function_csv(str(path), tree).values.tobytes() == values.tobytes()
+
+    def test_non_canonical_labels(self, tmp_path):
+        # `Vertex.parse` reads "00" as 0 and "1.02" as 1.2 at m=3, so these
+        # rows name the vertices "0", "1" and "1.2"
+        tree = TruncatedTree(3, 2)
+        texts = {"0": "00", "1": " 1", "1.2": "1.02"}
+        rows = [f"{texts.get(str(v), v)},{flat}" for flat, v in enumerate(tree.vertices())]
+        path = tmp_path / "f.csv"
+        path.write_text("vertex,value\n" + "\n".join(rows) + "\n")
+        np.testing.assert_array_equal(read_function_csv(str(path), tree).values,
+                                      np.arange(tree.vertex_count))
+        for extra in ("0,5", "1.2,5", " 1,5"):
+            path.write_text("vertex,value\n" + "\n".join(rows + [extra]) + "\n")
+            with pytest.raises(ValueError, match=f"row 15: duplicate vertex '{extra[:-2]}'"):
+                read_function_csv(str(path), tree)
 
 
 class TestObstacle:

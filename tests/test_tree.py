@@ -220,6 +220,11 @@ class TestTruncatedTree:
         with pytest.raises(ValueError):
             tree.flat_index(Vertex(3, (0,)))
 
+    @pytest.mark.parametrize("m,depth", [(2, 1), (2, 6), (3, 1), (3, 4), (5, 3), (11, 2)])
+    def test_labels_are_vertex_texts(self, m, depth):
+        tree = TruncatedTree(m, depth)
+        assert tree.labels() == [str(v) for v in tree.vertices()]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TruncatedTree(1, 3)
