@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -32,6 +33,9 @@ from treeconvex import (
     solve_dirichlet,
 )
 from treeconvex._kernels import level_operator
+from treeconvex.convexity import _segment_constraints, _subtree_constraint_arrays
+
+import oracles
 
 
 def function_with(tree, assignments, fill=0.0):
@@ -402,16 +406,38 @@ class TestPredicates:
         u = random_function(tree, rng)
         trivial = is_binary_convex(u, mode="subtrees", max_rel_depth=0)
         assert trivial.ok and trivial.checked == 0
+        u.values[tree.flat_index(Vertex(2, (1,)))] += 5.0
+        with pytest.raises(ValueError, match="max_rel_depth must be >= 0, got -1"):
+            is_binary_convex(u, mode="subtrees", max_rel_depth=-1)
         # depth-1 subtrees are exactly the operator pairs
         assert (is_binary_convex(u, mode="subtrees", max_rel_depth=1).ok
                 == is_binary_convex(u, mode="operator").ok)
+
+    def test_segment_budget_edge_runs(self):
+        tree = TruncatedTree(2, 8)  # 511 vertices, the largest binary tree inside the budget
+        u = solve_dirichlet(tree, np.random.default_rng(61).uniform(0, 1, tree.leaf_count),
+                            SolveConfig(variant="convex")).solution
+        check = is_convex_segment(u)
+        # one row per path vertex strictly inside a segment: the sum of the
+        # edge distances over all pairs (each edge joins s and n - s vertices)
+        # less one per pair
+        n = tree.vertex_count
+        wiener = sum(2**j * (2 ** (9 - j) - 1) * (n - 2 ** (9 - j) + 1) for j in range(1, 9))
+        assert check.skipped is None and check.ok
+        assert check.checked == wiener - n * (n - 1) // 2 == 1_448_703
 
     def test_subtree_budget_refusal(self):
         tree = TruncatedTree(3, 4)  # full-depth enumeration at the root explodes
         u = TreeFunction.constant(tree, 0.0)
         check = is_binary_convex(u, mode="subtrees")
         assert check.ok is None
-        assert "budget" in check.skipped
+        assert check.skipped == "budget: 155714970 binary subtrees exceed 1000000"
+        total = sum(3**level * count_binary_subtrees(3, 4 - level) for level in range(4))
+        assert str(total) in check.skipped
+        # from m=2 depth 15 on the count has more digits than str() converts
+        deep = is_binary_convex(TreeFunction.constant(TruncatedTree(2, 15), 0.0), mode="subtrees")
+        assert deep.ok is None
+        assert deep.skipped == "budget: at least 10^4300 binary subtrees exceed 1000000"
         capped = is_binary_convex(u, mode="subtrees", max_rel_depth=3)
         assert capped.ok
 
@@ -474,3 +500,94 @@ class TestBinarySubtrees:
             check = is_binary_convex(u, tol=1e-9, mode="subtrees")
             violated_here = u[x] > worst + 1e-9
             assert violated_here == (x in check.violations)
+
+
+# every size the budgets admit at m in {2, 3, 4, 5}, as far as the Fraction
+# route runs in seconds
+SEGMENT_CASES = [(2, d) for d in range(1, 7)] + [(3, d) for d in range(1, 5)] + [
+    (4, d) for d in range(1, 4)] + [(5, d) for d in range(1, 4)]
+# (m, depth, max_rel_depth); enumeration builds one object per subtree, so
+# the largest full-depth cases (m=2 depth 5, m=4 depth 3) are capped here
+SUBTREE_CASES = [(2, d, None) for d in range(1, 5)] + [(3, d, None) for d in range(1, 4)] + [
+    (4, 1, None), (4, 2, None), (5, 1, None), (5, 2, None),
+    (2, 5, 4), (2, 6, 3), (2, 8, 1), (3, 4, 2), (4, 3, 2), (5, 3, 1)]
+
+oracle_segments = lru_cache(maxsize=None)(oracles.segment_constraints)
+oracle_subtrees = lru_cache(maxsize=None)(oracles.subtree_constraints)
+
+
+def subtree_arrays(tree, max_rel_depth):
+    """The cached builder's arrays with the weight exponents applied."""
+    roots, endpoints, exponents = _subtree_constraint_arrays(tree, max_rel_depth)
+    weights = np.where(exponents >= 0, np.ldexp(1.0, -exponents.astype(np.int64)), 0.0)
+    return roots, endpoints, weights
+
+
+def assert_bitwise(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape
+        if w.dtype.kind == "f":
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+        else:
+            np.testing.assert_array_equal(g, w)
+
+
+def sample_functions(tree, seed):
+    """Seeded random data, a convex envelope, and the envelope with one
+    interior vertex raised."""
+    rng = np.random.default_rng([seed, tree.m, tree.depth])
+    envelope = solve_dirichlet(tree, rng.uniform(0, 1, tree.leaf_count),
+                               SolveConfig(variant="convex")).solution.values
+    raised = envelope.copy()
+    raised[rng.integers(0, tree.interior_count)] += 2.0
+    for values in (rng.standard_normal(tree.vertex_count), envelope, raised):
+        yield TreeFunction(tree, values)
+
+
+class TestBruteForceArrays:
+    """The vectorized constraint arrays against the Fraction and Vertex routes
+    in tests/oracles.py: bitwise, row order included."""
+
+    @pytest.mark.parametrize("m,depth", SEGMENT_CASES)
+    def test_segment_arrays_match_fraction_route(self, m, depth):
+        tree = TruncatedTree(m, depth)
+        got = _segment_constraints(tree)
+        assert [a.dtype for a in got] == [np.int64] * 3 + [np.float64] * 2
+        assert_bitwise(got, oracle_segments(tree))
+
+    @pytest.mark.parametrize("m,depth,rel", SUBTREE_CASES)
+    def test_subtree_arrays_match_enumeration(self, m, depth, rel):
+        tree = TruncatedTree(m, depth)
+        roots, endpoints, exponents = _subtree_constraint_arrays(tree, rel)
+        assert (roots.dtype, endpoints.dtype, exponents.dtype) == (np.int64, np.int32, np.int8)
+        # padding sits after every row's endpoints, with endpoint 0
+        pad = exponents < 0
+        assert not (pad[:, :-1] & ~pad[:, 1:]).any() and not endpoints[pad].any()
+        assert_bitwise(subtree_arrays(tree, rel), oracle_subtrees(tree, rel))
+
+    @pytest.mark.parametrize("m,depth", [(2, 6), (3, 4), (4, 3), (5, 2)])
+    def test_segment_verdicts_match_fraction_route(self, m, depth):
+        tree = TruncatedTree(m, depth)
+        for u in sample_functions(tree, 67):
+            check = is_convex_segment(u)
+            assert (check.ok, check.checked, check._flat) == oracles.segment_verdict(
+                u, oracle_segments(tree), 1e-9)
+
+    @pytest.mark.parametrize("m,depth,rel", [(2, 4, None), (3, 3, None), (5, 2, None),
+                                             (2, 6, 3), (4, 3, 2)])
+    def test_subtree_verdicts_match_enumeration(self, m, depth, rel):
+        tree = TruncatedTree(m, depth)
+        for u in sample_functions(tree, 71):
+            check = is_binary_convex(u, mode="subtrees", max_rel_depth=rel)
+            assert (check.ok, check.checked, check._flat) == oracles.subtree_verdict(
+                u, oracle_subtrees(tree, rel), 1e-9)
+
+    def test_chunked_averages_cover_every_row(self, monkeypatch):
+        # chunks of a few rows give the same verdict as one chunk
+        tree = TruncatedTree(3, 3)
+        monkeypatch.setattr("treeconvex.convexity._CHUNK_ENTRIES", 3 * 8)
+        for u in sample_functions(tree, 73):
+            check = is_binary_convex(u, mode="subtrees")
+            assert (check.ok, check.checked, check._flat) == oracles.subtree_verdict(
+                u, oracle_subtrees(tree, None), 1e-9)
