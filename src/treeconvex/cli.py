@@ -13,6 +13,10 @@ import csv
 import json
 import math
 import sys
+import warnings
+from functools import lru_cache
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
@@ -39,6 +43,32 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+@lru_cache(maxsize=1)
+def _labels(tree: TruncatedTree) -> list[str]:
+    """`tree.labels()`, kept for the last tree so that the reader and the
+    writers of one command build it once; callers only read it."""
+    return tree.labels()
+
+
+@lru_cache(maxsize=1)
+def _texts_of(data: bytes) -> list[str]:
+    """`repr` of each float64 in `data`, kept for the last array: the CSV and
+    DOT writers of one command format each value once."""
+    return list(map(repr, np.frombuffer(data).tolist()))
+
+
+def _value_texts(values: np.ndarray) -> list[str]:
+    return _texts_of(np.asarray(values, dtype=np.float64).tobytes())
+
+
+def _write_lines(fh, lines: Iterable[str]) -> None:
+    """Write each of `lines` and a newline, a few thousand lines per call:
+    a call per line costs more, and one string per file holds all of it."""
+    lines = iter(lines)
+    while chunk := list(islice(lines, 8192)):
+        fh.write("\n".join(chunk) + "\n")
+
+
 def write_solution_csv(path: str, tree: TruncatedTree, values: np.ndarray,
                        coincidence: np.ndarray | None = None) -> None:
     """One row per vertex in flat order.  The psi column is the correctly
@@ -46,30 +76,27 @@ def write_solution_csv(path: str, tree: TruncatedTree, values: np.ndarray,
     header = "vertex,level,index,psi,value"
     if coincidence is not None:
         header += ",coincidence"
-    labels = tree.labels()
-    values = np.asarray(values, dtype=np.float64)
+    labels, texts = _labels(tree), _value_texts(values)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for level in range(tree.depth + 1):
             rows = tree.level_slice(level)
             n = rows.stop - rows.start
             columns = [labels[rows], [str(level)] * n, map(str, range(n)),
-                       map(repr, (np.arange(n) / float(n)).tolist()),
-                       map(repr, values[rows].tolist())]
+                       map(repr, (np.arange(n) / float(n)).tolist()), texts[rows]]
             if coincidence is not None:
                 columns.append(["true" if c else "false" for c in coincidence[rows].tolist()])
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+            _write_lines(fh, map(",".join, zip(*columns)))
 
 
 def write_dot(path: str, tree: TruncatedTree, values: np.ndarray) -> None:
-    labels = tree.labels()
-    values = np.asarray(values, dtype=np.float64).tolist()
+    labels, texts = _labels(tree), _value_texts(values)
     m = tree.m
     with open(path, "w", newline="\n") as fh:
         fh.write("digraph tree {\n")
-        fh.writelines(f'  "{v}" [label="{v}\\n{x!r}"];\n' for v, x in zip(labels, values))
-        fh.writelines(f'  "{labels[(i - 1) // m]}" -> "{labels[i]}";\n'
-                      for i in range(1, len(labels)))
+        _write_lines(fh, (f'  "{v}" [label="{v}\\n{x}"];' for v, x in zip(labels, texts)))
+        _write_lines(fh, (f'  "{labels[(i - 1) // m]}" -> "{labels[i]}";'
+                          for i in range(1, len(labels))))
         fh.write("}\n")
 
 
@@ -80,19 +107,60 @@ def write_json(path: str, payload: dict) -> None:
 
 def read_function_csv(path: str, tree: TruncatedTree) -> TreeFunction:
     """Read a function CSV (needs 'vertex' and 'value' columns) covering the
-    whole truncated tree exactly once.  Errors name the file line of the row."""
-    flat_of = {label: flat for flat, label in enumerate(tree.labels())}
+    whole truncated tree exactly once.  Errors name the file line of the row.
+
+    A file whose vertex column is `tree.labels()` in flat order, with a
+    finite number in every value cell, is read by column with NumPy's
+    tokenizer.  Every other file is read row by row, which gives the same
+    values and is the one source of every error message."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+    if header is None or not {"vertex", "value"} <= set(header):
+        raise ValueError(f"{path}: expected columns 'vertex' and 'value'")
+    for column in ("vertex", "value"):
+        if header.count(column) > 1:
+            raise ValueError(f"{path}: duplicate column {column!r}")
+    cells = {"vertex": header.index("vertex"), "value": header.index("value")}
+    values = _read_columns(path, tree, cells)
+    if values is None:
+        values = _read_rows(path, tree, cells)
+    return TreeFunction.from_values(tree, values)
+
+
+def _read_columns(path: str, tree: TruncatedTree, cells: dict[str, int]) -> np.ndarray | None:
+    """The values of a canonical file, or None when the file is not
+    canonical or a cell does not parse.  Each column is tokenized in a pass
+    of its own, so only one column's cells are held at a time."""
+    try:
+        if _column(path, cells["vertex"]).tolist() != _labels(tree):
+            return None
+        # an object-to-float cast calls float() on each cell
+        values = _column(path, cells["value"]).astype(np.float64)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _column(path: str, cell: int) -> np.ndarray:
+    """The cells of one column below the header, each the str that the csv
+    module reads (dtype=str would drop trailing NUL characters)."""
+    with open(path, newline="") as fh, warnings.catch_warnings():
+        # blank lines and a file without rows warn; the row scan reads both
+        warnings.simplefilter("ignore", UserWarning)
+        next(csv.reader(fh))
+        return np.loadtxt(fh, dtype=object, delimiter=",", comments=None, quotechar='"',
+                          usecols=cell, ndmin=1)
+
+
+def _read_rows(path: str, tree: TruncatedTree, cells: dict[str, int]) -> np.ndarray:
+    """The values of any function CSV, one row at a time, with the error
+    message and file line of the first row that is refused."""
+    flat_of = {label: flat for flat, label in enumerate(_labels(tree))}
     values = np.zeros(tree.vertex_count)
     seen = bytearray(tree.vertex_count)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not {"vertex", "value"} <= set(header):
-            raise ValueError(f"{path}: expected columns 'vertex' and 'value'")
-        for column in ("vertex", "value"):
-            if header.count(column) > 1:
-                raise ValueError(f"{path}: duplicate column {column!r}")
-        cells = {"vertex": header.index("vertex"), "value": header.index("value")}
+        next(reader)
         for row in reader:
             if not row:
                 continue
@@ -122,7 +190,7 @@ def read_function_csv(path: str, tree: TruncatedTree) -> TreeFunction:
     if missing:
         raise ValueError(f"{path}: {missing} of {tree.vertex_count} vertices missing "
                          f"for m={tree.m}, depth={tree.depth}")
-    return TreeFunction.from_values(tree, values)
+    return values
 
 
 def _parse_sampling(spec: str) -> tuple[str, int]:
@@ -218,7 +286,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     tree = TruncatedTree(args.m, args.depth)
     u = read_function_csv(args.function, tree)
     tol = args.tol
-    labels = tree.labels()
+    labels = _labels(tree)
     checks = {
         "convex_operator": _check_payload(is_convex_operator(u, tol), labels),
         "binary_operator": _check_payload(is_binary_convex(u, tol, mode="operator"), labels),

@@ -263,24 +263,40 @@ class BinarySubtree:
                          for y in self.endpoints))
 
 
-def _shape_count(m: int, rel: int) -> int:
+def _shape_count(m: int, rel: int, cap: int | None = None) -> int:
     """Number of binary shapes hanging at one vertex with `rel` levels below
-    it: ways(r) = 1 + C(m,2) * ways(r-1)^2, ways(0) = 1."""
+    it: ways(r) = 1 + C(m,2) * ways(r-1)^2, ways(0) = 1; at most `cap`."""
     pairs = m * (m - 1) // 2
     c = 1
     for _ in range(rel):
         c = 1 + pairs * c * c
+        if cap is not None and c >= cap:
+            return cap
     return c
 
 
 def count_binary_subtrees(m: int, max_rel_depth: int) -> int:
     """Number of binary subtrees rooted at one vertex with endpoints at
     relative depth <= max_rel_depth."""
+    return _subtree_count(m, max_rel_depth, None)
+
+
+def _subtree_count(m: int, max_rel_depth: int, cap: int | None) -> int:
+    """`count_binary_subtrees`, or `cap` when that is smaller.  Each step of
+    the recursion only grows, so stopping at the cap gives the same minimum
+    without squaring integers whose size doubles per level."""
     if max_rel_depth < 1:
         return 0
     pairs = m * (m - 1) // 2
-    w = _shape_count(m, max_rel_depth - 1)
-    return pairs * w * w
+    w = _shape_count(m, max_rel_depth - 1, cap)
+    return pairs * w * w if cap is None else min(pairs * w * w, cap)
+
+
+def _count_cap() -> int | None:
+    """The bound at which a count only decides a budget skip: past the
+    budget, and too long for `str` (None when Python sets no such limit)."""
+    digits = sys.get_int_max_str_digits()
+    return max(10**digits, SUBTREE_ENUMERATION_BUDGET + 1) if digits else None
 
 
 def _count_text(n: int) -> str:
@@ -315,7 +331,7 @@ def enumerate_binary_subtrees(tree: TruncatedTree, x: Vertex, max_rel_depth: int
         raise ValueError(
             f"vertex {x} at level {x.level} plus relative depth {max_rel_depth} "
             f"exceeds the depth-{tree.depth} truncation")
-    total = count_binary_subtrees(tree.m, max_rel_depth)
+    total = _subtree_count(tree.m, max_rel_depth, _count_cap())
     if total > SUBTREE_ENUMERATION_BUDGET:
         raise ValueError(
             f"budget: {_count_text(total)} binary subtrees at {x} "
@@ -339,9 +355,12 @@ def _rel_depth(tree: TruncatedTree, level: int, max_rel_depth: int | None) -> in
 
 
 def _subtree_row_count(tree: TruncatedTree, max_rel_depth: int | None) -> int:
-    """Rows of `_subtree_constraint_arrays`, in closed form, before any build."""
-    return sum(tree.level_size(lv) * count_binary_subtrees(tree.m, _rel_depth(tree, lv, max_rel_depth))
-               for lv in range(tree.depth))
+    """Rows of `_subtree_constraint_arrays`, in closed form, before any build;
+    at most `_count_cap()`, which any count that would be built stays below."""
+    cap = _count_cap()
+    total = sum(tree.level_size(lv) * _subtree_count(tree.m, _rel_depth(tree, lv, max_rel_depth), cap)
+                for lv in range(tree.depth))
+    return total if cap is None else min(total, cap)
 
 
 def _write_subtrees(m: int, hanging: tuple[np.ndarray, np.ndarray], scale_of: np.ndarray,

@@ -1,19 +1,23 @@
 """Independent routes to the brute-force constraint arrays of
-`treeconvex.convexity`, for tests only.
+`treeconvex.convexity` and to the function-CSV reader of `treeconvex.cli`,
+for tests only.
 
 Segments come from `minimal_path` and exact `Fraction` distances, one vertex
 pair at a time; binary subtrees come from `enumerate_binary_subtrees` and
 `BinarySubtree.endpoint_weights`.  Both return the arrays in the layout the
 library's predicates evaluate, so the tests can demand bitwise equality.
+`read_function_csv` reads every file one `csv` row at a time.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from treeconvex import TreeFunction, TruncatedTree, enumerate_binary_subtrees
+from treeconvex import TreeFunction, TruncatedTree, Vertex, enumerate_binary_subtrees
 from treeconvex.tree import distance, minimal_path
 
 
@@ -89,3 +93,50 @@ def subtree_verdict(u: TreeFunction, arrays, tol: float) -> tuple[bool, int, lis
     bad = vals[roots] > (weights * vals[endpoints]).sum(axis=1) + tol
     flat = list(dict.fromkeys(roots[bad].tolist()))
     return not flat, len(roots), flat
+
+
+def read_function_csv(path: str, tree: TruncatedTree) -> TreeFunction:
+    """Read a function CSV (needs 'vertex' and 'value' columns) covering the
+    whole truncated tree exactly once.  Errors name the file line of the row."""
+    flat_of = {label: flat for flat, label in enumerate(tree.labels())}
+    values = np.zeros(tree.vertex_count)
+    seen = bytearray(tree.vertex_count)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not {"vertex", "value"} <= set(header):
+            raise ValueError(f"{path}: expected columns 'vertex' and 'value'")
+        for column in ("vertex", "value"):
+            if header.count(column) > 1:
+                raise ValueError(f"{path}: duplicate column {column!r}")
+        cells = {"vertex": header.index("vertex"), "value": header.index("value")}
+        for row in reader:
+            if not row:
+                continue
+            n = reader.line_num
+            for column, cell in cells.items():
+                if cell >= len(row):
+                    raise ValueError(f"{path}: row {n}: missing {column!r} cell")
+            text, value_text = row[cells["vertex"]], row[cells["value"]]
+            flat = flat_of.get(text)
+            if flat is None:
+                # non-canonical text such as "00" or "1.02" names a vertex too
+                try:
+                    flat = tree.flat_index(Vertex.parse(tree.m, text))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: row {n}: {exc}") from exc
+            if seen[flat]:
+                raise ValueError(f"{path}: row {n}: duplicate vertex {text!r}")
+            try:
+                value = float(value_text)
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {n}: bad value {value_text!r}") from exc
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: row {n}: non-finite value {value_text!r}")
+            values[flat] = value
+            seen[flat] = 1
+    missing = seen.count(0)
+    if missing:
+        raise ValueError(f"{path}: {missing} of {tree.vertex_count} vertices missing "
+                         f"for m={tree.m}, depth={tree.depth}")
+    return TreeFunction.from_values(tree, values)

@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from treeconvex import (
     SolveConfig,
     TreeFunction,
@@ -19,8 +22,12 @@ from treeconvex import (
     psi,
     reference_binary_indicator,
     reference_convex_indicator,
+    sample_leaves,
     solve_dirichlet,
+    solve_obstacle,
 )
+from treeconvex import cli
+from treeconvex.boundary import parse_datum
 from treeconvex.cli import main, read_function_csv, write_dot, write_solution_csv
 
 
@@ -64,6 +71,85 @@ def artifact_data(tree, seed):
     for i, x in enumerate(special):
         values[(i * 7919) % tree.vertex_count] = x
     return values
+
+
+def reader_corpus():
+    """(name, m, depth, file text, read by column?) for the differential
+    reader test: canonical files and near misses of every kind."""
+    cases = []
+    for m, depth in [(2, 6), (3, 4), (5, 3)]:
+        tree = TruncatedTree(m, depth)
+        cases.append((f"canonical m={m}", m, depth,
+                      oracle_solution_csv(tree, artifact_data(tree, m)), True))
+    labels = TruncatedTree(3, 2).labels()
+    texts = [repr(float(x)) for x in artifact_data(TruncatedTree(3, 2), 7)]
+    base = [f"{v},{x}" for v, x in zip(labels, texts)]
+
+    def rows(lines, header="vertex,value", end="\n"):
+        return header + end + end.join(lines) + end
+
+    def edit(i, line, insert=False):
+        return rows(base[:i] + [line] + base[i + (not insert):])
+
+    at = labels.index
+    for name, text, by_column in [
+        # layout
+        ("reordered rows", rows(base[::-1]), False),
+        ("label 00", edit(at("0"), f"00,{texts[at('0')]}"), False),
+        ("label space 1", edit(at("1"), f" 1,{texts[at('1')]}"), False),
+        ("label 1.02", edit(at("1.2"), f"1.02,{texts[at('1.2')]}"), False),
+        ("extra columns", rows([f"{r},x,7" for r in base], "vertex,value,a,b"), True),
+        ("reordered columns", rows([f"{x},7,{v}" for v, x in zip(labels, texts)],
+                                   "value,a,vertex"), True),
+        ("trailing commas", rows([r + "," for r in base], "vertex,value,"), True),
+        ("missing row", rows(base[:-1]), False),
+        ("duplicate row", rows(base + base[:1]), False),
+        ("short row", edit(3, labels[3]), False),
+        ("header only", "vertex,value\n", False),
+        ("empty file", "", None),  # refused at the header, before either route
+        # line endings
+        ("crlf", rows(base, end="\r\n"), True),
+        ("bare cr", rows(base, end="\r"), True),
+        ("blank lines", edit(4, "", insert=True) + "\n\n", True),
+        ("whitespace-only line", edit(4, "   ", insert=True), False),
+        ("tab-only line", edit(4, "\t", insert=True), False),
+        # quoting
+        ("quoted cells", rows([f'"{v}","{x}"' for v, x in zip(labels, texts)]), True),
+        ("quoted header", rows(base, '"vertex","value"'), True),
+        ("multi-line quoted header", rows([r + ",x" for r in base], 'vertex,value,"a\nb"'),
+         True),
+        ("multi-line quoted value", edit(5, f'{labels[5]},"{texts[5]}\n"'), True),
+        ("multi-line quoted label", edit(5, f'"{labels[5]}\n",{texts[5]}'), False),
+        ("mid-field quote in value", edit(6, f'{labels[6]},1"5'), False),
+        ("mid-field quote in label", edit(6, f'1"0,{texts[6]}'), False),
+        ("quote then text", edit(6, f'"{labels[6]}"0,{texts[6]}'), False),
+        # bytes
+        ("NUL after value", edit(7, f"{labels[7]},{texts[7]}\x00"), False),
+        ("NUL after label", edit(7, f"{labels[7]}\x00,{texts[7]}"), False),
+        ("NUL inside value", edit(7, f"{labels[7]},1\x005"), False),
+        # values
+        ("underscore", edit(8, f"{labels[8]},1_0"), True),
+        ("non-ASCII digits", edit(8, f"{labels[8]},\u0661\u0662.\u0665"), True),
+        ("nan", edit(8, f"{labels[8]},nan"), False),
+        ("inf", edit(8, f"{labels[8]},-inf"), False),
+        ("1e400", edit(8, f"{labels[8]},1e400"), False),
+        ("negative zero", edit(8, f"{labels[8]},-0.0"), True),
+        ("smallest subnormal", edit(8, f"{labels[8]},5e-324"), True),
+        ("bad value", edit(8, f"{labels[8]},0x1p3"), False),
+    ]:
+        cases.append((name, 3, 2, text, by_column))
+    return cases
+
+
+READER_CORPUS = reader_corpus()
+
+
+def read_outcome(read, path, tree):
+    """The bytes of the values read, or the type and text of the error."""
+    try:
+        return read(str(path), tree).values.tobytes()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TestSolve:
@@ -351,6 +437,70 @@ class TestArtifactBytes:
             path.write_text("vertex,value\n" + "\n".join(rows + [extra]) + "\n")
             with pytest.raises(ValueError, match=f"row 15: duplicate vertex '{extra[:-2]}'"):
                 read_function_csv(str(path), tree)
+
+    @pytest.mark.parametrize("m,depth", [(2, 6), (3, 4), (5, 3)])
+    def test_cli_artifacts_match_per_vertex_oracle(self, tmp_path, m, depth):
+        # one command writes CSV and DOT from the same labels and value texts
+        tree = TruncatedTree(m, depth)
+        cfg = SolveConfig(variant="convex")
+        u = solve_dirichlet(tree, sample_leaves(parse_datum("absdev:0.3"), tree), cfg)
+        csv_path, dot_path = tmp_path / "u.csv", tmp_path / "u.dot"
+        assert run("solve", "--m", str(m), "--depth", str(depth), "--datum", "absdev:0.3",
+                   "--out-csv", str(csv_path), "--out-dot", str(dot_path)) == 0
+        assert csv_path.read_bytes() == oracle_solution_csv(tree, u.solution.values).encode()
+        assert dot_path.read_bytes() == oracle_dot(tree, u.solution.values).encode()
+
+        f = np.random.default_rng(m).uniform(-1.0, 1.0, tree.vertex_count)
+        f[::7] = np.round(f[::7])  # signed zeros and integers among the data
+        obstacle = tmp_path / "f.csv"
+        write_function(obstacle, tree, f)
+        result = solve_obstacle(tree, TreeFunction.from_values(tree, f), cfg)
+        assert run("obstacle", "--m", str(m), "--depth", str(depth), "--obstacle", str(obstacle),
+                   "--out-csv", str(csv_path), "--out-dot", str(dot_path)) == 0
+        envelope = result.envelope.values
+        assert csv_path.read_bytes() == oracle_solution_csv(
+            tree, envelope, result.coincidence_mask).encode()
+        assert dot_path.read_bytes() == oracle_dot(tree, envelope).encode()
+
+
+class TestReader:
+    """The reader against the row-by-row reference in `oracles`: equal
+    values, bit for bit, or the same error text."""
+
+    @pytest.mark.parametrize("name,m,depth,text,by_column", READER_CORPUS,
+                             ids=[case[0] for case in READER_CORPUS])
+    def test_matches_row_reference(self, tmp_path, monkeypatch, name, m, depth, text,
+                                   by_column):
+        tree = TruncatedTree(m, depth)
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode())
+        scanned = []
+        read_rows = cli._read_rows
+        monkeypatch.setattr(cli, "_read_rows", lambda *a: scanned.append(1) or read_rows(*a))
+        got = read_outcome(read_function_csv, path, tree)
+        assert got == read_outcome(oracles.read_function_csv, path, tree)
+        if by_column is not None:
+            assert (not scanned) == by_column
+
+    @given(st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_edited_files_match_row_reference(self, tmp_path_factory, data):
+        m, depth = data.draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
+        tree = TruncatedTree(m, depth)
+        text = oracle_solution_csv(tree, artifact_data(tree, depth))
+        if data.draw(st.booleans()):
+            text = "vertex,value\n" + "".join(
+                f"{line.split(',')[0]},{line.split(',')[4]}\n" for line in text.splitlines()[1:])
+        pieces = st.sampled_from(['"', ",", "\r", "\n", " ", "\t", "\x00", "\x0c", "_", "e",
+                                  ".", "-", "0", "1", "r", "n", "\u00a0", "\u0661", '""'])
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(text)))
+            cut = data.draw(st.integers(0, 1))
+            text = text[:at] + data.draw(pieces) + text[at + cut:]
+        path = tmp_path_factory.mktemp("edit") / "f.csv"
+        path.write_bytes(text.encode())
+        assert (read_outcome(read_function_csv, path, tree)
+                == read_outcome(oracles.read_function_csv, path, tree))
 
 
 class TestObstacle:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -438,6 +439,12 @@ class TestPredicates:
         deep = is_binary_convex(TreeFunction.constant(TruncatedTree(2, 15), 0.0), mode="subtrees")
         assert deep.ok is None
         assert deep.skipped == "budget: at least 10^4300 binary subtrees exceed 1000000"
+        # the count stops past the bound, so a deep tree is skipped at once
+        # (an exact count squares integers of about 3 million bits here)
+        start = time.perf_counter()
+        deeper = is_binary_convex(TreeFunction.zeros(TruncatedTree(2, 22)), mode="subtrees")
+        assert time.perf_counter() - start < 0.1
+        assert deeper.skipped == deep.skipped
         capped = is_binary_convex(u, mode="subtrees", max_rel_depth=3)
         assert capped.ok
 
