@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .solver import SolveConfig, solve_dirichlet
-from .tree import TruncatedTree
+from .tree import TruncatedTree, Vertex
 
 CONVERGENCE_LEAF_BUDGET = 2**24
 
@@ -197,6 +197,7 @@ class ConvergenceSeries:
     root_values: list[float]
     deltas: list[float]  # |root(depth_i) - root(depth_{i+1})| for consecutive entries
     converged: list[bool]
+    worst_vertices: list[Vertex]  # each depth's worst-defect interior vertex
 
 
 def convergence_study(
@@ -223,11 +224,13 @@ def convergence_study(
 
     root_values: list[float] = []
     converged: list[bool] = []
+    worst: list[Vertex] = []
     for depth in depths:
         tree = TruncatedTree(m, depth)
         leaves = sample_leaves(g, tree, sampling, subsamples)
         report = solve_dirichlet(tree, leaves, cfg)
         root_values.append(float(report.solution.values[0]))
         converged.append(report.converged)
+        worst.append(report.worst_vertex)
     deltas = [abs(b - a) for a, b in zip(root_values, root_values[1:])]
-    return ConvergenceSeries(list(depths), root_values, deltas, converged)
+    return ConvergenceSeries(list(depths), root_values, deltas, converged, worst)

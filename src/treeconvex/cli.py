@@ -72,18 +72,23 @@ def _write_lines(fh, lines: Iterable[str]) -> None:
 def write_solution_csv(path: str, tree: TruncatedTree, values: np.ndarray,
                        coincidence: np.ndarray | None = None) -> None:
     """One row per vertex in flat order.  The psi column is the correctly
-    rounded index / m^level (exact integers below 2^53, one IEEE division)."""
+    rounded index / m^level (exact integers below 2^53, one IEEE division).
+    That is the same rational as (index * m^(depth - level)) / m^depth, so
+    each level's psi texts are the leaf level's at stride m^(depth - level),
+    and only the leaf level is formatted."""
     header = "vertex,level,index,psi,value"
     if coincidence is not None:
         header += ",coincidence"
     labels, texts = _labels(tree), _value_texts(values)
+    leaves = tree.leaf_count
+    leaf_psi = list(map(repr, (np.arange(leaves) / float(leaves)).tolist()))
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for level in range(tree.depth + 1):
             rows = tree.level_slice(level)
             n = rows.stop - rows.start
             columns = [labels[rows], [str(level)] * n, map(str, range(n)),
-                       map(repr, (np.arange(n) / float(n)).tolist()), texts[rows]]
+                       leaf_psi[::leaves // n], texts[rows]]
             if coincidence is not None:
                 columns.append(["true" if c else "false" for c in coincidence[rows].tolist()])
             _write_lines(fh, map(",".join, zip(*columns)))
@@ -114,7 +119,7 @@ def read_function_csv(path: str, tree: TruncatedTree) -> TreeFunction:
     tokenizer.  Every other file is read row by row, which gives the same
     values and is the one source of every error message."""
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        header = next(_csv_rows(path, csv.reader(fh)), None)
     if header is None or not {"vertex", "value"} <= set(header):
         raise ValueError(f"{path}: expected columns 'vertex' and 'value'")
     for column in ("vertex", "value"):
@@ -152,6 +157,16 @@ def _column(path: str, cell: int) -> np.ndarray:
                           usecols=cell, ndmin=1)
 
 
+def _csv_rows(path: str, reader):
+    """The rows of a csv reader; a row the csv module refuses, such as a
+    cell longer than `csv.field_size_limit()`, raises a ValueError naming
+    its file line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc
+
+
 def _read_rows(path: str, tree: TruncatedTree, cells: dict[str, int]) -> np.ndarray:
     """The values of any function CSV, one row at a time, with the error
     message and file line of the first row that is refused."""
@@ -160,8 +175,9 @@ def _read_rows(path: str, tree: TruncatedTree, cells: dict[str, int]) -> np.ndar
     seen = bytearray(tree.vertex_count)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
+        rows = _csv_rows(path, reader)
+        next(rows)
+        for row in rows:
             if not row:
                 continue
             n = reader.line_num
@@ -358,6 +374,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
         payload["root_values"] = series.root_values
         payload["deltas"] = series.deltas
         payload["converged"] = series.converged
+        payload["worst_vertices"] = [str(v) for v in series.worst_vertices]
         payload["deltas_all_positive"] = bool(all(d > 0 for d in series.deltas))
         payload["deltas_non_increasing_after_first"] = bool(all(
             b <= a for a, b in zip(series.deltas[1:], series.deltas[2:])))

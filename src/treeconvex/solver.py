@@ -10,10 +10,13 @@ primitive `_eliminate`, O(n) with no fill-in.  The convex equation is a
 minimum of such linear systems, one per choice at each vertex (pair,
 predecessor branch, or the obstacle); Howard policy iteration solves the
 system of the argmin choice at the iterate until the defect is within tol or
-the policy repeats.  Each iterate is a supersolution of the next policy's
-system, so the evaluations descend.  The rounding of an evaluation grows
-with the size of the data; when it leaves the defect above tol, Gauss-Seidel
-sweeps from a float supersolution just above the iterate finish the solve.
+the policy repeats.  The policy step finds each vertex's two smallest
+successors in one pass over the successor columns; where successors tie, it
+may pick any minimizing column, as every such choice attains the minimum.
+Each iterate is a supersolution of the next policy's system, so the
+evaluations descend.  The rounding of an evaluation grows with the size of
+the data; when it leaves the defect above tol, Gauss-Seidel sweeps from a
+float supersolution just above the iterate finish the solve.
 
 The sweep loop `_iterate` also runs Jacobi, which reads a frozen copy of the
 previous iterate instead of the current one; the tests use it as the
@@ -219,6 +222,35 @@ def _laplacian_system(tree: TruncatedTree):
     return system
 
 
+def _assign(codes: np.ndarray, where: np.ndarray, code) -> None:
+    """`codes[where] = code` for small-integer codes, as arithmetic: a masked
+    write costs many times more.  Exact also where the difference wraps."""
+    codes += where * (code - codes)
+
+
+def _two_smallest(succ: np.ndarray, dtype) -> tuple[np.ndarray, ...]:
+    """The smallest and second-smallest entry of each row of `succ` (at least
+    two columns) and their columns in `dtype`: (s0, s1, first, second).
+
+    One pass over the columns keeps the running pair, so m = 2 takes one
+    comparison per row.  Of equal entries the earlier column comes first, as
+    in a stable sort of the row."""
+    swap = succ[:, 1] < succ[:, 0]
+    s0 = np.where(swap, succ[:, 1], succ[:, 0])
+    s1 = np.where(swap, succ[:, 0], succ[:, 1])
+    first = swap.astype(dtype)
+    second = 1 - first
+    for col in range(2, succ.shape[1]):
+        v = succ[:, col]
+        below0, below1 = v < s0, v < s1
+        s1 = np.where(below0, s0, np.where(below1, v, s1))
+        s0 = np.where(below0, v, s0)
+        _assign(second, below1, col)
+        _assign(second, below0, first)
+        _assign(first, below0, col)
+    return s0, s1, first, second
+
+
 class _ConvexPolicy:
     """Howard policy of the convex equation and of its obstacle problem: at
     every interior vertex, the argmin choice among the smallest successor
@@ -240,19 +272,17 @@ class _ConvexPolicy:
         for level in range(tree.depth):
             sl = tree.level_slice(level)
             succ = values[tree.level_slice(level + 1)].reshape(-1, m)
-            cols = np.argpartition(succ, 1, axis=1)[:, :2]
-            s0, s1 = np.take_along_axis(succ, cols, axis=1).T
-            first, second = cols.T.astype(self.first.dtype)
+            s0, s1, first, second = _two_smallest(succ, self.first.dtype)
             op = (s0 + s1) / 2.0
             if level > 0:
                 pred = (np.repeat(values[tree.level_slice(level - 1)], m) + m * s0) / (m + 1)
-                branch = pred < op
-                np.copyto(op, pred, where=branch)
-                second[branch] = PRED
+                _assign(second, pred < op, PRED)
+                np.minimum(op, pred, out=op)
             if self.obstacle is not None:
                 touch = self.obstacle[sl] < op
-                np.copyto(op, self.obstacle[sl], where=touch)
-                first[touch] = second[touch] = TOUCH
+                _assign(first, touch, TOUCH)
+                _assign(second, touch, TOUCH)
+                np.minimum(op, self.obstacle[sl], out=op)
             if not (np.array_equal(first, self.first[sl])
                     and np.array_equal(second, self.second[sl])):
                 changed = True

@@ -380,6 +380,29 @@ class TestCheck:
             assert run("check", "--m", "2", "--depth", "2", "--function", str(fn)) == 2
             assert f"{fn}: duplicate column '{column}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "obstacle"])
+    def test_oversized_cell_is_input_error(self, tmp_path, capsys, command):
+        # a cell longer than the csv module's field limit was an uncaught
+        # csv.Error (a traceback and exit 1); it names its row and exits 2
+        import csv
+
+        tree = TruncatedTree(2, 2)
+        long = "0." + "0" * max(140_000, csv.field_size_limit()) + "1"
+        rows = [f"{v},0" for v in tree.vertices()]
+        fn = tmp_path / "f.csv"
+        flag = "--function" if command == "check" else "--obstacle"
+        for text, row in [
+                ("vertex,value\n" + "\n".join(rows[:1] + ["1,x" + long] + rows[1:2]
+                                               + rows[3:]) + "\n", 3),
+                # the rows out of flat order send a number the row scan
+                ("vertex,value\n" + "\n".join(rows[::-1][:4] + [rows[2][:-1] + long]
+                                               + rows[::-1][5:]) + "\n", 6),
+                (f"vertex,value,{long}\n" + "\n".join(rows) + "\n", 1)]:
+            fn.write_text(text)
+            assert run(command, "--m", "2", "--depth", "2", flag, str(fn)) == 2
+            err = capsys.readouterr().err
+            assert f"{fn}: row {row}: field larger than field limit" in err, err
+
     def test_violation_lists_match_library(self, tmp_path):
         tree = TruncatedTree(2, 5)
         u = TreeFunction.from_values(tree, np.random.default_rng(3).standard_normal(tree.vertex_count))
@@ -414,6 +437,20 @@ class TestArtifactBytes:
         dot = tmp_path / "t.dot"
         write_dot(str(dot), tree, values)
         assert dot.read_bytes() == oracle_dot(tree, values).encode()
+
+    @pytest.mark.parametrize("m,depth", [(2, 17), (3, 10), (5, 7), (7, 6)])
+    def test_psi_column_at_depth(self, tmp_path, m, depth):
+        # the writer formats the leaf level's psi only; every level's column
+        # is still each index / m^level, correctly rounded
+        tree = TruncatedTree(m, depth)
+        path = tmp_path / "u.csv"
+        write_solution_csv(str(path), tree, np.zeros(tree.vertex_count))
+        column = [line.split(",")[3] for line in path.read_text().splitlines()[1:]]
+        expected = []
+        for level in range(depth + 1):
+            n = m**level
+            expected += map(repr, (np.arange(n) / float(n)).tolist())
+        assert column == expected
 
     @pytest.mark.parametrize("m,depth", [(2, 12), (3, 7), (5, 5)])
     def test_read_round_trip_is_bitwise(self, tmp_path, m, depth):
@@ -560,6 +597,24 @@ class TestConverge:
     def test_depth_over_budget(self, capsys):
         assert run("converge", "--m", "2", "--datum", "constant:0", "--depths", "4,30") == 2
         assert "depth 30" in capsys.readouterr().err
+
+    def test_worst_vertices(self, tmp_path):
+        # each depth's worst-defect vertex, as the solve at that depth reports it
+        out_json = tmp_path / "series.json"
+        depths = [3, 4, 5]
+        assert run("converge", "--m", "3", "--datum", "absdev:0.4", "--depths", "3,4,5",
+                   "--out-json", str(out_json)) == 0
+        report = json.loads(out_json.read_text())
+        expected = []
+        for depth in depths:
+            tree = TruncatedTree(3, depth)
+            leaves = sample_leaves(parse_datum("absdev:0.4"), tree)
+            expected.append(str(solve_dirichlet(tree, leaves, SolveConfig()).worst_vertex))
+        assert report["worst_vertices"] == expected
+        assert list(report) == [
+            "command", "m", "depth", "variant", "k", "tol", "max_iter", "datum", "sampling",
+            "depths", "root_values", "deltas", "converged", "worst_vertices",
+            "deltas_all_positive", "deltas_non_increasing_after_first"]
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []

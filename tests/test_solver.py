@@ -20,7 +20,8 @@ from treeconvex import (
     solve_dirichlet,
     solve_obstacle,
 )
-from treeconvex.solver import PRED, TOUCH, _ConvexPolicy, _eliminate, _laplacian_system
+from treeconvex.solver import (PRED, TOUCH, _ConvexPolicy, _eliminate, _laplacian_system,
+                               _two_smallest)
 
 from engines import ENGINES, solve
 
@@ -364,6 +365,69 @@ class TestDirect:
             assert poisoned == [tree.depth - 1], engine
             assert report.iterations == 1 and not report.converged, engine
             assert np.isnan(report.last_change) and np.isnan(report.final_residual), engine
+
+
+def tie_rows(rng, n, m):
+    """Rows of random data, and rows drawn from few values (ties, repeated
+    minima and signed zeros)."""
+    smooth = rng.standard_normal((n, m))
+    few = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(n, m))
+    return np.concatenate([smooth, few, np.zeros((1, m)), -np.zeros((1, m))])
+
+
+class TestPolicyStep:
+    """The policy step's pass for each vertex's two smallest successors."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_two_smallest_is_head_of_sorted_row(self, m):
+        # a stable sort keeps equal entries (-0.0 and 0.0) in column order,
+        # as the pass does, so the values agree bit for bit
+        rng = np.random.default_rng(m)
+        succ = tie_rows(rng, 4000, m)
+        dtype = np.min_scalar_type(-m)
+        s0, s1, first, second = _two_smallest(succ, dtype)
+        head = np.sort(succ, axis=1, kind="stable")[:, :2]
+        assert np.array_equal(np.stack([s0, s1], axis=1).view(np.uint64), head.view(np.uint64))
+        assert first.dtype == second.dtype == dtype
+        rows = np.arange(len(succ))
+        assert np.array_equal(succ[rows, first].view(np.uint64), s0.view(np.uint64))
+        assert np.array_equal(succ[rows, second].view(np.uint64), s1.view(np.uint64))
+        assert np.all(first != second)
+        assert np.all((0 <= first) & (first < m) & (0 <= second) & (second < m))
+
+    @pytest.mark.parametrize("m,depth", [(2, 9), (3, 6), (5, 4)])
+    def test_tied_data_against_jacobi(self, m, depth):
+        """Integer data, so that equal successors give the policy a choice of
+        columns (`TestDirect` covers data without ties): defect within tol,
+        the Jacobi reference within 1e-10, the same coincidence set and
+        bitwise reruns, Dirichlet and obstacle."""
+        rng = np.random.default_rng(10 * m + depth)
+        tree = TruncatedTree(m, depth)
+        cfg = SolveConfig()
+        g = rng.integers(0, 3, tree.leaf_count).astype(float)
+        f = TreeFunction.from_values(tree, rng.integers(-2, 3, tree.vertex_count).astype(float))
+        runs = [solve_problems(engine, tree, g, f, cfg) for engine in ("direct", "jacobi", "direct")]
+        for problem, ((a, mask_a), (b, mask_b), (again, mask_again)) in enumerate(zip(*runs)):
+            label = f"m={m} obstacle={bool(problem)}"
+            assert a.converged and a.monotone and a.final_residual <= cfg.tol, label
+            np.testing.assert_allclose(a.solution.values, b.solution.values,
+                                       rtol=0, atol=1e-10, err_msg=label)
+            assert np.array_equal(mask_a, mask_b), label
+            assert np.array_equal(a.solution.values, again.solution.values), label
+            assert np.array_equal(mask_a, mask_again), label
+
+    def test_no_partition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the policy step must not partition")
+
+        monkeypatch.setattr(np, "argpartition", refuse)
+        rng = np.random.default_rng(149)
+        for m, depth in [(2, 6), (3, 4), (5, 3)]:
+            tree = TruncatedTree(m, depth)
+            assert solve_dirichlet(tree, rng.uniform(0, 1, tree.leaf_count),
+                                   SolveConfig()).converged
+            f = TreeFunction.from_values(tree, rng.standard_normal(tree.vertex_count))
+            assert solve_obstacle(tree, f, SolveConfig()).report.converged
 
 
 class TestConfig:
