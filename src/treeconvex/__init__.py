@@ -39,13 +39,10 @@ from .solver import (
     solve_obstacle,
 )
 from .tree import (
-    DyadicInterval,
     TruncatedTree,
     Vertex,
     common_ancestor,
     distance,
-    interval,
-    is_in_subtree,
     minimal_path,
     psi,
 )

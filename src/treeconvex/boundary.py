@@ -24,8 +24,6 @@ from .tree import TruncatedTree, Vertex
 
 CONVERGENCE_LEAF_BUDGET = 2**24
 
-DATUM_KINDS = ("constant", "affine", "power", "abs_dev", "indicator", "piecewise_linear")
-
 
 @dataclass(frozen=True)
 class BoundaryDatum:
@@ -68,15 +66,9 @@ class BoundaryDatum:
         pts = tuple((float(t), float(g)) for t, g in knots)
         if len(pts) < 2:
             raise ValueError("piecewise datum needs at least two knots")
-        if pts[0][0] != 0.0:
-            raise ValueError(f"knot 1: first t must be 0, got {pts[0][0]}")
-        if pts[-1][0] != 1.0:
-            raise ValueError(f"knot {len(pts)}: last t must be 1, got {pts[-1][0]}")
-        for i in range(1, len(pts)):
-            if not pts[i][0] > pts[i - 1][0]:
-                raise ValueError(
-                    f"knot {i + 1}: t must increase strictly "
-                    f"({pts[i][0]} after {pts[i - 1][0]})")
+        bad = _knot_error(pts)
+        if bad is not None:
+            raise ValueError(f"knot {bad[0]}: {bad[1]}")
         return cls("piecewise_linear", (), pts)
 
     def evaluate(self, ts: np.ndarray) -> np.ndarray:
@@ -99,8 +91,18 @@ class BoundaryDatum:
             return np.interp(t, xs, ys)
         raise ValueError(f"unknown datum kind {self.kind!r}")
 
-    def __call__(self, t: float) -> float:
-        return float(self.evaluate(np.array([t]))[0])
+
+def _knot_error(pts) -> tuple[int, str] | None:
+    """The first bad knot of a table of at least two, as (its number from 1,
+    the reason), or None; `piecewise_linear` and `load_datum_csv` both say it."""
+    if pts[0][0] != 0.0:
+        return 1, f"first t must be 0, got {pts[0][0]}"
+    if pts[-1][0] != 1.0:
+        return len(pts), f"last t must be 1, got {pts[-1][0]}"
+    for i in range(1, len(pts)):
+        if not pts[i][0] > pts[i - 1][0]:
+            return i + 1, f"t must increase strictly ({pts[i][0]} after {pts[i - 1][0]})"
+    return None
 
 
 def load_datum_csv(path: str) -> BoundaryDatum:
@@ -122,15 +124,11 @@ def load_datum_csv(path: str) -> BoundaryDatum:
             knots.append((float(row[0]), float(row[1])))
         except ValueError as exc:
             raise ValueError(f"{path}: row {n}: non-numeric entry {row!r}") from exc
-    try:
-        return BoundaryDatum.piecewise_linear(knots)
-    except ValueError as exc:
+    bad = _knot_error(knots) if len(knots) >= 2 else None
+    if bad is not None:
         # knot i sits at data row i + 1
-        msg = str(exc)
-        if msg.startswith("knot "):
-            knot_no = int(msg.split()[1].rstrip(":"))
-            raise ValueError(f"{path}: row {knot_no + 1}: {msg.split(': ', 1)[1]}") from exc
-        raise
+        raise ValueError(f"{path}: row {bad[0] + 1}: {bad[1]}")
+    return BoundaryDatum.piecewise_linear(knots)
 
 
 def parse_datum(spec: str) -> BoundaryDatum:
@@ -217,10 +215,14 @@ def convergence_study(
     for depth in depths:
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
-        if m**depth > CONVERGENCE_LEAF_BUDGET:
+        # 2^depth alone is over the budget from its bit length on; m^depth is
+        # then not formed, nor printed (it may pass `str`'s digit limit)
+        over = depth >= CONVERGENCE_LEAF_BUDGET.bit_length()
+        if over or m**depth > CONVERGENCE_LEAF_BUDGET:
+            leaves = "" if over else f" = {m**depth}"
             raise ValueError(
                 f"depth {depth} exceeds the study budget "
-                f"(m^depth = {m**depth} > {CONVERGENCE_LEAF_BUDGET} leaves)")
+                f"(m^depth{leaves} > {CONVERGENCE_LEAF_BUDGET} leaves)")
 
     root_values: list[float] = []
     converged: list[bool] = []

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .boundary import parse_datum, sample_leaves, convergence_study
+from .boundary import convergence_study, leaf_psi_values, parse_datum, sample_leaves
 from .convexity import is_binary_convex, is_convex_operator, is_convex_segment
 from .functions import TreeFunction
 from .solver import SolveConfig, solve_dirichlet, solve_obstacle
@@ -81,7 +81,7 @@ def write_solution_csv(path: str, tree: TruncatedTree, values: np.ndarray,
         header += ",coincidence"
     labels, texts = _labels(tree), _value_texts(values)
     leaves = tree.leaf_count
-    leaf_psi = list(map(repr, (np.arange(leaves) / float(leaves)).tolist()))
+    leaf_psi = list(map(repr, leaf_psi_values(tree).tolist()))
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for level in range(tree.depth + 1):
@@ -386,14 +386,13 @@ def cmd_converge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, need_depth: bool = True,
-                predicate_tol: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, need_depth: bool = True) -> None:
     parser.add_argument("--m", type=int, required=True, help="branching factor (>= 2)")
     if need_depth:
         parser.add_argument("--depth", type=int, required=True, help="truncation depth (>= 1)")
     parser.add_argument("--variant", choices=sorted(VARIANT_NAMES), default="convex")
     parser.add_argument("--k", type=int, default=None, help="subset size for kconvex")
-    parser.add_argument("--tol", type=float, default=1e-9 if predicate_tol else 1e-12)
+    parser.add_argument("--tol", type=float, default=1e-12)
     parser.add_argument("--max-iter", type=int, default=1_000_000)
 
 

@@ -349,16 +349,11 @@ def enumerate_binary_subtrees(tree: TruncatedTree, x: Vertex, max_rel_depth: int
     return out
 
 
-def _rel_depth(tree: TruncatedTree, level: int, max_rel_depth: int | None) -> int:
-    rel = tree.depth - level
-    return rel if max_rel_depth is None else min(rel, max_rel_depth)
-
-
-def _subtree_row_count(tree: TruncatedTree, max_rel_depth: int | None) -> int:
+def _subtree_row_count(tree: TruncatedTree) -> int:
     """Rows of `_subtree_constraint_arrays`, in closed form, before any build;
     at most `_count_cap()`, which any count that would be built stays below."""
     cap = _count_cap()
-    total = sum(tree.level_size(lv) * _subtree_count(tree.m, _rel_depth(tree, lv, max_rel_depth), cap)
+    total = sum(tree.level_size(lv) * _subtree_count(tree.m, tree.depth - lv, cap)
                 for lv in range(tree.depth))
     return total if cap is None else min(total, cap)
 
@@ -391,7 +386,7 @@ def _write_subtrees(m: int, hanging: tuple[np.ndarray, np.ndarray], scale_of: np
 
 
 @lru_cache(maxsize=1)
-def _subtree_constraint_arrays(tree: TruncatedTree, max_rel_depth: int | None):
+def _subtree_constraint_arrays(tree: TruncatedTree):
     """Padded (roots, endpoint flat indices, weight exponents) over every
     interior vertex, one row per binary subtree in the order of
     `enumerate_binary_subtrees`; an endpoint at k levels below the root has
@@ -401,15 +396,14 @@ def _subtree_constraint_arrays(tree: TruncatedTree, max_rel_depth: int | None):
     The shapes below a vertex depend only on the relative depth, so each is
     built once on relative flat indices r and placed under a vertex with
     flat index f at f * m^k + r (offsets satisfy off(l+k) = m^k off(l) + off(k))."""
-    m = tree.m
-    total = _subtree_row_count(tree, max_rel_depth)
-    top = _rel_depth(tree, 0, max_rel_depth)
+    m, depth = tree.m, tree.depth
+    total = _subtree_row_count(tree)
     roots = np.empty(total, dtype=np.int64)
-    flat = np.zeros((total, 2**top), dtype=np.int32)  # int32: the budget bounds the tree
-    rel = np.full((total, 2**top), -1, dtype=np.int8)
-    scale_of = np.append(m ** np.arange(top + 1), 0).astype(np.int32)  # [-1] pads
+    flat = np.zeros((total, 2**depth), dtype=np.int32)  # int32: the budget bounds the tree
+    rel = np.full((total, 2**depth), -1, dtype=np.int8)
+    scale_of = np.append(m ** np.arange(depth + 1), 0).astype(np.int32)  # [-1] pads
     hanging = [(np.zeros((1, 1), np.int8), np.zeros((1, 1), np.int32))]
-    for r in range(1, top):
+    for r in range(1, depth):
         count = 1 + count_binary_subtrees(m, r)
         h_rel = np.full((count, 2**r), -1, dtype=np.int8)
         h_flat = np.zeros((count, 2**r), dtype=np.int32)
@@ -417,10 +411,8 @@ def _subtree_constraint_arrays(tree: TruncatedTree, max_rel_depth: int | None):
         _write_subtrees(m, hanging[-1], scale_of, h_rel[1:], h_flat[1:])
         hanging.append((h_rel, h_flat))
     start = 0
-    for level in range(tree.depth):
-        r = _rel_depth(tree, level, max_rel_depth)
-        if r < 1:
-            continue
+    for level in range(depth):
+        r = depth - level
         n, count = tree.level_size(level), count_binary_subtrees(m, r)
         block = slice(start, start + n * count)
         start += n * count
@@ -438,30 +430,23 @@ def _subtree_constraint_arrays(tree: TruncatedTree, max_rel_depth: int | None):
     return roots, flat, rel
 
 
-def is_binary_convex(
-    u: TreeFunction,
-    tol: float = 1e-9,
-    mode: str = "operator",
-    max_rel_depth: int | None = None,
-) -> ConvexityCheck:
+def is_binary_convex(u: TreeFunction, tol: float = 1e-9, mode: str = "operator") -> ConvexityCheck:
     """Binary convexity either via the one-step pair-min inequality at every
     interior vertex ("operator") or by brute force over all finite binary
-    subtrees up to max_rel_depth ("subtrees"; None means down to the leaves)."""
+    subtrees, down to the leaves ("subtrees")."""
     _check_tol(tol)
     if mode == "operator":
         return _operator_check(u, "binary", tol)
     if mode != "subtrees":
         raise ValueError(f"mode must be 'operator' or 'subtrees', got {mode!r}")
-    if max_rel_depth is not None and max_rel_depth < 0:
-        raise ValueError(f"max_rel_depth must be >= 0, got {max_rel_depth}")
     tree = u.tree
-    total = _subtree_row_count(tree, max_rel_depth)
+    total = _subtree_row_count(tree)
     if total > SUBTREE_ENUMERATION_BUDGET:
         return ConvexityCheck(
             ok=None, checked=0,
             skipped=f"budget: {_count_text(total)} binary subtrees "
                     f"exceed {SUBTREE_ENUMERATION_BUDGET}")
-    roots, endpoints, exponents = _subtree_constraint_arrays(tree, max_rel_depth)
+    roots, endpoints, exponents = _subtree_constraint_arrays(tree)
     weight_of = np.append(np.ldexp(1.0, -np.arange(tree.depth + 1)), 0.0)  # [-1] pads
     vals = u.values
     bad = np.empty(total, dtype=bool)

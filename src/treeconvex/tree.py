@@ -3,9 +3,8 @@
 A vertex is addressed by its digit sequence (a_1, ..., a_k) with digits in
 {0, ..., m-1}; the root is the empty sequence.  Each level-k edge has length
 m^(-k), which induces a metric through minimal (self-avoiding) paths.  All
-rational quantities (psi values, distances, interval endpoints) are computed
-exactly with `fractions.Fraction`; callers convert to float at output
-boundaries only.
+rational quantities (psi values, distances) are computed exactly with
+`fractions.Fraction`; callers convert to float at output boundaries only.
 """
 
 from __future__ import annotations
@@ -139,32 +138,6 @@ def minimal_path(x: Vertex, y: Vertex) -> list[Vertex]:
     return up + down[-2::-1]
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
-    """The base-m interval [psi(v), psi(v) + m^(-|v|)] attached to a vertex."""
-
-    lo: Fraction
-    hi: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, other: DyadicInterval) -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-
-def interval(v: Vertex) -> DyadicInterval:
-    lo = psi(v)
-    return DyadicInterval(lo, lo + Fraction(1, v.m**v.level))
-
-
-def is_in_subtree(v: Vertex, x0: Vertex) -> bool:
-    """True iff v descends from x0 (x0's digits are a prefix of v's)."""
-    _check_same_m(v, x0)
-    return v.digits[: x0.level] == x0.digits
-
-
 def _vertex_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
@@ -193,11 +166,14 @@ class TruncatedTree:
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         budget = _vertex_budget()
-        if self.vertex_count > budget:
+        # 2^depth alone is over the budget from its bit length on; m^depth is
+        # then not formed, nor printed (it may pass `str`'s digit limit)
+        over = self.depth >= budget.bit_length()
+        if over or self.vertex_count > budget:
+            count = f"more than 2^{self.depth}" if over else self.vertex_count
             raise ValueError(
-                f"tree with m={self.m}, depth={self.depth} has "
-                f"{self.vertex_count} vertices, over the budget of {budget} "
-                f"(override with {BUDGET_ENV_VAR})"
+                f"tree with m={self.m}, depth={self.depth} has {count} vertices, "
+                f"over the budget of {budget} (override with {BUDGET_ENV_VAR})"
             )
 
     @property
@@ -234,13 +210,6 @@ class TruncatedTree:
     @property
     def interior_slice(self) -> slice:
         return slice(0, self.level_offset(self.depth))
-
-    def contains(self, v: Vertex) -> bool:
-        return v.m == self.m and v.level <= self.depth
-
-    def is_leaf(self, v: Vertex) -> bool:
-        self._check_member(v)
-        return v.level == self.depth
 
     def is_interior(self, v: Vertex) -> bool:
         self._check_member(v)

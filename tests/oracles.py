@@ -50,19 +50,16 @@ def segment_constraints(tree: TruncatedTree):
             np.array(iy, dtype=np.int64), np.array(wx), np.array(wy))
 
 
-def subtree_constraints(tree: TruncatedTree, max_rel_depth: int | None = None):
+def subtree_constraints(tree: TruncatedTree, from_level: int = 0):
     """(roots, endpoints, weights): one row per binary subtree of every
-    interior vertex in flat order, padded to the widest row with endpoint 0
-    and weight 0."""
+    interior vertex from level `from_level` on, in flat order, padded to the
+    widest row with endpoint 0 and weight 0."""
     roots: list[int] = []
     rows: list[tuple[list[int], list[float]]] = []
-    for x in tree.vertices():
-        rel = tree.depth - x.level
-        if max_rel_depth is not None:
-            rel = min(rel, max_rel_depth)
-        if rel < 1:
+    for x in tree.interior_vertices():
+        if x.level < from_level:
             continue
-        for sub in enumerate_binary_subtrees(tree, x, rel):
+        for sub in enumerate_binary_subtrees(tree, x, tree.depth - x.level):
             roots.append(tree.flat_index(x))
             rows.append(([tree.flat_index(y) for y in sub.endpoints],
                          [float(w) for w in sub.endpoint_weights()]))

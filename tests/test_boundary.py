@@ -19,16 +19,19 @@ from treeconvex import (
 )
 
 
+def at(g, *ts):
+    return g.evaluate(np.array(ts)).tolist()
+
+
 class TestDatumFamilies:
     def test_evaluations(self):
-        assert BoundaryDatum.constant(2.5)(0.3) == 2.5
-        assert BoundaryDatum.affine(2.0, -1.0)(0.75) == pytest.approx(0.5)
-        assert BoundaryDatum.power(2)(0.5) == 0.25
-        assert BoundaryDatum.abs_dev(0.5)(0.2) == pytest.approx(0.3)
-        ind = BoundaryDatum.indicator(0.25, 0.5)
-        assert ind(0.25) == 1.0 and ind(0.5) == 1.0 and ind(0.6) == 0.0
+        assert at(BoundaryDatum.constant(2.5), 0.3) == [2.5]
+        assert at(BoundaryDatum.affine(2.0, -1.0), 0.75) == pytest.approx([0.5])
+        assert at(BoundaryDatum.power(2), 0.5) == [0.25]
+        assert at(BoundaryDatum.abs_dev(0.5), 0.2) == pytest.approx([0.3])
+        assert at(BoundaryDatum.indicator(0.25, 0.5), 0.25, 0.5, 0.6) == [1.0, 1.0, 0.0]
         pw = BoundaryDatum.piecewise_linear([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
-        assert pw(0.25) == pytest.approx(0.5)
+        assert at(pw, 0.25) == pytest.approx([0.5])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -57,7 +60,7 @@ class TestDatumFamilies:
         good = tmp_path / "g.csv"
         good.write_text("t,g\n0,0\n0.5,1\n1,0\n")
         datum = load_datum_csv(str(good))
-        assert datum(0.25) == pytest.approx(0.5)
+        assert at(datum, 0.25) == pytest.approx([0.5])
 
         bad_header = tmp_path / "h.csv"
         bad_header.write_text("x,y\n0,0\n1,1\n")
@@ -73,6 +76,23 @@ class TestDatumFamilies:
         non_numeric.write_text("t,g\n0,0\nmid,1\n1,0\n")
         with pytest.raises(ValueError, match="row 3"):
             load_datum_csv(str(non_numeric))
+
+    @pytest.mark.parametrize("knots,number,reason", [
+        ([(0.1, 0.0), (1.0, 1.0)], 1, "first t must be 0, got 0.1"),
+        ([(0.0, 0.0), (0.5, 1.0), (0.9, 0.0)], 3, "last t must be 1, got 0.9"),
+        ([(0.0, 0.0), (0.6, 1.0), (0.4, 2.0), (1.0, 0.0)], 3,
+         "t must increase strictly (0.4 after 0.6)"),
+    ], ids=["first", "last", "order"])
+    def test_knot_errors_in_table_and_file(self, tmp_path, knots, number, reason):
+        # knot n of a table is data row n + 1 of its file (the header is row 1)
+        with pytest.raises(ValueError) as table:
+            BoundaryDatum.piecewise_linear(knots)
+        assert str(table.value) == f"knot {number}: {reason}"
+        path = tmp_path / "d.csv"
+        path.write_text("t,g\n" + "".join(f"{t},{g}\n" for t, g in knots))
+        with pytest.raises(ValueError) as file:
+            load_datum_csv(str(path))
+        assert str(file.value) == f"{path}: row {number + 1}: {reason}"
 
 
 class TestSampling:
@@ -164,6 +184,12 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="depth 30"):
             convergence_study(BoundaryDatum.constant(0.0), 2, [4, 30],
                               SolveConfig(variant="binary"))
+        # past the budget's bit length the leaf count is neither formed nor printed
+        with pytest.raises(ValueError) as exc:
+            convergence_study(BoundaryDatum.constant(0.0), 7, [10**6],
+                              SolveConfig(variant="binary"))
+        assert str(exc.value) == ("depth 1000000 exceeds the study budget "
+                                  "(m^depth > 16777216 leaves)")
 
     def test_depths_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):

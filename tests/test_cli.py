@@ -195,6 +195,13 @@ class TestSolve:
         assert code == 2
         assert "row 4" in capsys.readouterr().err
 
+    def test_oversized_depth_names_budget(self, capsys):
+        # refused by depth before the vertex count is formed or printed
+        assert run("solve", "--m", "2", "--depth", "20000", "--datum", "constant:1") == 2
+        err = capsys.readouterr().err
+        assert "more than 2^20000 vertices, over the budget of" in err
+        assert "integer string conversion" not in err
+
     def test_non_convergence_exit_code_and_artifacts(self, tmp_path, capsys):
         out_csv = tmp_path / "u.csv"
         out_json = tmp_path / "r.json"
@@ -597,6 +604,12 @@ class TestConverge:
     def test_depth_over_budget(self, capsys):
         assert run("converge", "--m", "2", "--datum", "constant:0", "--depths", "4,30") == 2
         assert "depth 30" in capsys.readouterr().err
+
+    def test_oversized_depth_names_budget(self, capsys):
+        assert run("converge", "--m", "2", "--datum", "constant:0", "--depths", "3,20000") == 2
+        err = capsys.readouterr().err
+        assert "depth 20000 exceeds the study budget (m^depth > 16777216 leaves)" in err
+        assert "integer string conversion" not in err
 
     def test_worst_vertices(self, tmp_path):
         # each depth's worst-defect vertex, as the solve at that depth reports it

@@ -402,17 +402,16 @@ class TestPredicates:
             assert "budget" in check.skipped
 
     def test_subtree_mode_rel_depth_edges(self):
+        # at depth 1 the subtrees are exactly the operator pairs at the root
         rng = np.random.default_rng(59)
-        tree = TruncatedTree(2, 3)
-        u = random_function(tree, rng)
-        trivial = is_binary_convex(u, mode="subtrees", max_rel_depth=0)
-        assert trivial.ok and trivial.checked == 0
-        u.values[tree.flat_index(Vertex(2, (1,)))] += 5.0
-        with pytest.raises(ValueError, match="max_rel_depth must be >= 0, got -1"):
-            is_binary_convex(u, mode="subtrees", max_rel_depth=-1)
-        # depth-1 subtrees are exactly the operator pairs
-        assert (is_binary_convex(u, mode="subtrees", max_rel_depth=1).ok
-                == is_binary_convex(u, mode="operator").ok)
+        tree = TruncatedTree(3, 1)
+        for raise_root in (0.0, 5.0):
+            u = random_function(tree, rng)
+            u.values[0] += raise_root
+            subtrees = is_binary_convex(u, mode="subtrees")
+            operator = is_binary_convex(u, mode="operator")
+            assert subtrees.checked == 3
+            assert (subtrees.ok, subtrees._flat) == (operator.ok, operator._flat)
 
     def test_segment_budget_edge_runs(self):
         tree = TruncatedTree(2, 8)  # 511 vertices, the largest binary tree inside the budget
@@ -445,8 +444,6 @@ class TestPredicates:
         deeper = is_binary_convex(TreeFunction.zeros(TruncatedTree(2, 22)), mode="subtrees")
         assert time.perf_counter() - start < 0.1
         assert deeper.skipped == deep.skipped
-        capped = is_binary_convex(u, mode="subtrees", max_rel_depth=3)
-        assert capped.ok
 
 
 class TestBinarySubtrees:
@@ -513,21 +510,28 @@ class TestBinarySubtrees:
 # route runs in seconds
 SEGMENT_CASES = [(2, d) for d in range(1, 7)] + [(3, d) for d in range(1, 5)] + [
     (4, d) for d in range(1, 4)] + [(5, d) for d in range(1, 4)]
-# (m, depth, max_rel_depth); enumeration builds one object per subtree, so
-# the largest full-depth cases (m=2 depth 5, m=4 depth 3) are capped here
+# (m, depth, rel): the arrays are checked on the rows whose root lies at most
+# rel levels above the leaves (None: every row); enumeration builds one object
+# per subtree, so the largest sizes the budget admits (m=2 depth 5, m=4
+# depth 3) leave out the rows of their top levels
 SUBTREE_CASES = [(2, d, None) for d in range(1, 5)] + [(3, d, None) for d in range(1, 4)] + [
-    (4, 1, None), (4, 2, None), (5, 1, None), (5, 2, None),
-    (2, 5, 4), (2, 6, 3), (2, 8, 1), (3, 4, 2), (4, 3, 2), (5, 3, 1)]
+    (4, 1, None), (4, 2, None), (5, 1, None), (5, 2, None), (2, 5, 4), (4, 3, 2)]
 
 oracle_segments = lru_cache(maxsize=None)(oracles.segment_constraints)
 oracle_subtrees = lru_cache(maxsize=None)(oracles.subtree_constraints)
 
 
-def subtree_arrays(tree, max_rel_depth):
-    """The cached builder's arrays with the weight exponents applied."""
-    roots, endpoints, exponents = _subtree_constraint_arrays(tree, max_rel_depth)
+def subtree_arrays(tree, from_level=0):
+    """The cached builder's rows rooted at `from_level` or below (rows run
+    level by level), cut to their widest row, with the weight exponents
+    applied."""
+    roots, endpoints, exponents = _subtree_constraint_arrays(tree)
+    start = np.searchsorted(roots, tree.level_offset(from_level))
+    width = 2 ** (tree.depth - from_level)
+    assert (exponents[start:, width:] < 0).all()
+    exponents = exponents[start:, :width]
     weights = np.where(exponents >= 0, np.ldexp(1.0, -exponents.astype(np.int64)), 0.0)
-    return roots, endpoints, weights
+    return roots[start:], endpoints[start:, :width], weights
 
 
 def assert_bitwise(got, want):
@@ -566,12 +570,13 @@ class TestBruteForceArrays:
     @pytest.mark.parametrize("m,depth,rel", SUBTREE_CASES)
     def test_subtree_arrays_match_enumeration(self, m, depth, rel):
         tree = TruncatedTree(m, depth)
-        roots, endpoints, exponents = _subtree_constraint_arrays(tree, rel)
+        roots, endpoints, exponents = _subtree_constraint_arrays(tree)
         assert (roots.dtype, endpoints.dtype, exponents.dtype) == (np.int64, np.int32, np.int8)
         # padding sits after every row's endpoints, with endpoint 0
         pad = exponents < 0
         assert not (pad[:, :-1] & ~pad[:, 1:]).any() and not endpoints[pad].any()
-        assert_bitwise(subtree_arrays(tree, rel), oracle_subtrees(tree, rel))
+        from_level = 0 if rel is None else depth - rel
+        assert_bitwise(subtree_arrays(tree, from_level), oracle_subtrees(tree, from_level))
 
     @pytest.mark.parametrize("m,depth", [(2, 6), (3, 4), (4, 3), (5, 2)])
     def test_segment_verdicts_match_fraction_route(self, m, depth):
@@ -582,13 +587,19 @@ class TestBruteForceArrays:
                 u, oracle_segments(tree), 1e-9)
 
     @pytest.mark.parametrize("m,depth,rel", [(2, 4, None), (3, 3, None), (5, 2, None),
-                                             (2, 6, 3), (4, 3, 2)])
+                                             (4, 3, 2)])
     def test_subtree_verdicts_match_enumeration(self, m, depth, rel):
         tree = TruncatedTree(m, depth)
+        from_level = 0 if rel is None else depth - rel
+        first = tree.level_offset(from_level)
         for u in sample_functions(tree, 71):
-            check = is_binary_convex(u, mode="subtrees", max_rel_depth=rel)
-            assert (check.ok, check.checked, check._flat) == oracles.subtree_verdict(
-                u, oracle_subtrees(tree, rel), 1e-9)
+            check = is_binary_convex(u, mode="subtrees")
+            ok, checked, flat = oracles.subtree_verdict(
+                u, oracle_subtrees(tree, from_level), 1e-9)
+            # a vertex's verdict depends on its own rows only
+            assert [f for f in check._flat if f >= first] == flat
+            if rel is None:
+                assert (check.ok, check.checked) == (ok, checked)
 
     def test_chunked_averages_cover_every_row(self, monkeypatch):
         # chunks of a few rows give the same verdict as one chunk
@@ -597,4 +608,4 @@ class TestBruteForceArrays:
         for u in sample_functions(tree, 73):
             check = is_binary_convex(u, mode="subtrees")
             assert (check.ok, check.checked, check._flat) == oracles.subtree_verdict(
-                u, oracle_subtrees(tree, None), 1e-9)
+                u, oracle_subtrees(tree), 1e-9)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from fractions import Fraction
 
@@ -11,15 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeconvex import (
-    DyadicInterval,
     TruncatedTree,
     Vertex,
     common_ancestor,
     distance,
-    interval,
-    is_in_subtree,
     minimal_path,
     psi,
+    reference_binary_indicator,
 )
 
 
@@ -166,36 +165,28 @@ class TestMetric:
 
 
 class TestIntervals:
-    def test_interval_examples(self):
-        assert interval(Vertex(2, (1,))) == DyadicInterval(Fraction(1, 2), Fraction(1))
-        assert interval(Vertex(4, ())) == DyadicInterval(Fraction(0), Fraction(1))
-        assert interval(Vertex(3, (1, 2))) == DyadicInterval(Fraction(5, 9), Fraction(6, 9))
+    def test_subtree_matches_interval_containment(self):
+        # the subtree below x0, as the reference indicator marks it, is the
+        # set of vertices at level >= |x0| whose interval lies in x0's
+        for m, depth, digits in [(2, 4, (0, 1)), (3, 3, (2,)), (3, 3, (1, 0))]:
+            tree = TruncatedTree(m, depth)
+            x0 = Vertex(m, digits)
+            inside = reference_binary_indicator(tree, x0)
+            lo, hi = psi(x0), psi(x0) + Fraction(1, m**x0.level)
+            for v in tree.vertices():
+                in_interval = lo <= psi(v) and psi(v) + Fraction(1, m**v.level) <= hi
+                assert inside[v] == float(v.level >= x0.level and in_interval)
 
     def test_nesting_and_tiling(self):
+        # the children's base-m intervals [psi, psi + m^-level] tile the parent's
         tree = TruncatedTree(3, 3)
         for v in tree.interior_vertices():
-            parent_iv = interval(v)
-            child_ivs = [interval(c) for c in v.children()]
-            for iv in child_ivs:
-                assert parent_iv.contains(iv)
-            assert child_ivs[0].lo == parent_iv.lo
-            assert child_ivs[-1].hi == parent_iv.hi
-            for a, b in zip(child_ivs, child_ivs[1:]):
-                assert a.hi == b.lo
-
-    def test_subtree_examples(self):
-        v = Vertex(3, (1, 0))
-        assert is_in_subtree(v, v)
-        assert is_in_subtree(Vertex(3, (1, 0, 2)), Vertex(3, (1, 0)))
-        assert not is_in_subtree(Vertex(3, (2, 0)), Vertex(3, (1,)))
-
-    def test_subtree_matches_interval_containment(self):
-        # membership is equivalent to |x| >= |x0| plus interval containment
-        tree = TruncatedTree(2, 4)
-        x0 = Vertex(2, (0, 1))
-        for v in tree.vertices():
-            by_interval = v.level >= x0.level and interval(x0).contains(interval(v))
-            assert is_in_subtree(v, x0) == by_interval
+            width = Fraction(1, 3 ** (v.level + 1))
+            los = [psi(c) for c in v.children()]
+            assert los[0] == psi(v)
+            assert los[-1] + width == psi(v) + 3 * width
+            for a, b in zip(los, los[1:]):
+                assert a + width == b
 
 
 class TestTruncatedTree:
@@ -214,9 +205,9 @@ class TestTruncatedTree:
     def test_interior_and_leaf_queries(self):
         tree = TruncatedTree(2, 3)
         assert tree.is_interior(Vertex(2, (0, 1)))
-        assert tree.is_leaf(Vertex(2, (0, 1, 1)))
+        assert not tree.is_interior(Vertex(2, (0, 1, 1)))
         with pytest.raises(ValueError):
-            tree.is_leaf(Vertex(2, (0, 1, 1, 0)))
+            tree.is_interior(Vertex(2, (0, 1, 1, 0)))
         with pytest.raises(ValueError):
             tree.flat_index(Vertex(3, (0,)))
 
@@ -240,3 +231,13 @@ class TestTruncatedTree:
         TruncatedTree(3, 2)  # 13 vertices, within the lowered budget
         monkeypatch.setenv("TREECONVEX_BUDGET", str(2**31))
         TruncatedTree(2, 30)
+
+    def test_oversized_depth_refused_at_once(self):
+        # refused by depth alone, without forming 7^(10^6) or printing it
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"more than 2\^1000000 vertices, over the budget"):
+            TruncatedTree(7, 10**6)
+        assert time.perf_counter() - start < 0.1
+        # below that depth the count is formed and named
+        with pytest.raises(ValueError, match="has 536870911 vertices, over the budget of 268435456"):
+            TruncatedTree(2, 28)
