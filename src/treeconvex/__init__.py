@@ -11,14 +11,11 @@ from .boundary import (
     sample_leaves,
 )
 from .convexity import (
-    BinarySubtree,
     ConvexityCheck,
     arborescence_laplacian,
-    count_binary_subtrees,
     eigenvalues_binary,
     eigenvalues_convex,
     eigenvalues_k,
-    enumerate_binary_subtrees,
     is_binary_convex,
     is_convex_operator,
     is_convex_segment,
@@ -38,13 +35,6 @@ from .solver import (
     solve_dirichlet,
     solve_obstacle,
 )
-from .tree import (
-    TruncatedTree,
-    Vertex,
-    common_ancestor,
-    distance,
-    minimal_path,
-    psi,
-)
+from .tree import TruncatedTree, Vertex, psi
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .solver import SolveConfig, solve_dirichlet
 from .tree import TruncatedTree, Vertex
 
 CONVERGENCE_LEAF_BUDGET = 2**24
+SUBSAMPLE_BUDGET = 2**16  # inf mode's N; each block holds about 2^20 points
 
 
 @dataclass(frozen=True)
@@ -179,10 +180,14 @@ def sample_leaves(
         raise ValueError(f"mode must be 'point' or 'inf_subsample', got {mode!r}")
     if subsamples < 1:
         raise ValueError(f"inf mode needs subsamples >= 1, got {subsamples}")
+    if subsamples > SUBSAMPLE_BUDGET:
+        raise ValueError(f"inf mode: {subsamples} subsamples exceed the budget "
+                         f"of {SUBSAMPLE_BUDGET} per leaf")
     width = 1.0 / float(tree.m**tree.depth)
     offsets = np.arange(subsamples + 1) * (width / subsamples)
     out = np.empty(tree.leaf_count)
-    block = 1 << 16
+    # each leaf's minimum is over the same points whatever the block size
+    block = max(1, (1 << 20) // (subsamples + 1))
     for start in range(0, tree.leaf_count, block):
         pts = psis[start : start + block, None] + offsets[None, :]
         out[start : start + block] = g.evaluate(pts.ravel()).reshape(pts.shape).min(axis=1)

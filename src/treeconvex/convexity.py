@@ -10,7 +10,8 @@ Two routes to every convexity notion are kept deliberately separate:
 The brute-force predicates are quadratic or worse and refuse inputs above a
 fixed desk-scale budget instead of silently running forever.  Their
 constraint arrays are built in closed form with NumPy; `tests/oracles.py`
-rebuilds them object by object, with exact distances, as the test reference.
+rebuilds them from the definitions on digit tuples, with exact distances, as
+the test reference.
 """
 
 from __future__ import annotations
@@ -245,51 +246,21 @@ def is_convex_segment(u: TreeFunction, tol: float = 1e-9) -> ConvexityCheck:
 # binary subtrees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BinarySubtree:
-    """A finite binary subtree: the root has exactly two member successors and
-    every other member has zero or exactly two.  Endpoint weights halve with
-    each level below the root and always sum to one."""
-
-    root: Vertex
-    members: tuple[Vertex, ...]
-    endpoints: tuple[Vertex, ...]
-
-    def endpoint_weights(self) -> list[Fraction]:
-        return [Fraction(1, 2 ** (y.level - self.root.level)) for y in self.endpoints]
-
-    def endpoint_average(self, u: TreeFunction) -> float:
-        return float(sum(2.0 ** -(y.level - self.root.level) * u.value_at(y)
-                         for y in self.endpoints))
-
-
-def _shape_count(m: int, rel: int, cap: int | None = None) -> int:
-    """Number of binary shapes hanging at one vertex with `rel` levels below
-    it: ways(r) = 1 + C(m,2) * ways(r-1)^2, ways(0) = 1; at most `cap`."""
+def _subtree_count(m: int, rel: int, cap: int | None = None) -> int:
+    """Number of binary subtrees rooted at one vertex with endpoints at most
+    `rel` levels below it, or `cap` when that is smaller.  A vertex with r
+    levels below it carries ways(r) = 1 + C(m,2) * ways(r-1)^2 hanging shapes,
+    ways(0) = 1: itself alone, or a pair of successors with a shape below
+    each; the subtrees are every shape but the vertex alone.  Each step only
+    grows, so stopping at the cap gives the same minimum without squaring
+    integers whose size doubles per level."""
     pairs = m * (m - 1) // 2
-    c = 1
+    ways = 1
     for _ in range(rel):
-        c = 1 + pairs * c * c
-        if cap is not None and c >= cap:
+        ways = 1 + pairs * ways * ways
+        if cap is not None and ways - 1 >= cap:
             return cap
-    return c
-
-
-def count_binary_subtrees(m: int, max_rel_depth: int) -> int:
-    """Number of binary subtrees rooted at one vertex with endpoints at
-    relative depth <= max_rel_depth."""
-    return _subtree_count(m, max_rel_depth, None)
-
-
-def _subtree_count(m: int, max_rel_depth: int, cap: int | None) -> int:
-    """`count_binary_subtrees`, or `cap` when that is smaller.  Each step of
-    the recursion only grows, so stopping at the cap gives the same minimum
-    without squaring integers whose size doubles per level."""
-    if max_rel_depth < 1:
-        return 0
-    pairs = m * (m - 1) // 2
-    w = _shape_count(m, max_rel_depth - 1, cap)
-    return pairs * w * w if cap is None else min(pairs * w * w, cap)
+    return ways - 1
 
 
 def _count_cap() -> int | None:
@@ -308,47 +279,6 @@ def _count_text(n: int) -> str:
         return f"at least 10^{sys.get_int_max_str_digits()}"
 
 
-def _hanging_shapes(v: Vertex, rel: int) -> list[tuple[tuple[Vertex, ...], tuple[Vertex, ...]]]:
-    shapes: list[tuple[tuple[Vertex, ...], tuple[Vertex, ...]]] = [((v,), (v,))]
-    if rel >= 1:
-        kids = v.children()
-        for i, j in combinations(range(v.m), 2):
-            left = _hanging_shapes(kids[i], rel - 1)
-            right = _hanging_shapes(kids[j], rel - 1)
-            for mem_l, end_l in left:
-                for mem_r, end_r in right:
-                    shapes.append(((v,) + mem_l + mem_r, end_l + end_r))
-    return shapes
-
-
-def enumerate_binary_subtrees(tree: TruncatedTree, x: Vertex, max_rel_depth: int) -> list[BinarySubtree]:
-    """All binary subtrees rooted at x whose endpoints stay within
-    max_rel_depth levels of x (and inside the truncated tree)."""
-    tree._check_member(x)
-    if max_rel_depth < 0:
-        raise ValueError(f"max_rel_depth must be >= 0, got {max_rel_depth}")
-    if x.level + max_rel_depth > tree.depth:
-        raise ValueError(
-            f"vertex {x} at level {x.level} plus relative depth {max_rel_depth} "
-            f"exceeds the depth-{tree.depth} truncation")
-    total = _subtree_count(tree.m, max_rel_depth, _count_cap())
-    if total > SUBTREE_ENUMERATION_BUDGET:
-        raise ValueError(
-            f"budget: {_count_text(total)} binary subtrees at {x} "
-            f"exceed {SUBTREE_ENUMERATION_BUDGET}")
-    if max_rel_depth < 1:
-        return []
-    kids = x.children()
-    out: list[BinarySubtree] = []
-    for i, j in combinations(range(tree.m), 2):
-        left = _hanging_shapes(kids[i], max_rel_depth - 1)
-        right = _hanging_shapes(kids[j], max_rel_depth - 1)
-        for mem_l, end_l in left:
-            for mem_r, end_r in right:
-                out.append(BinarySubtree(x, (x,) + mem_l + mem_r, end_l + end_r))
-    return out
-
-
 def _subtree_row_count(tree: TruncatedTree) -> int:
     """Rows of `_subtree_constraint_arrays`, in closed form, before any build;
     at most `_count_cap()`, which any count that would be built stays below."""
@@ -362,10 +292,12 @@ def _write_subtrees(m: int, hanging: tuple[np.ndarray, np.ndarray], scale_of: np
                     rel: np.ndarray, flat: np.ndarray) -> None:
     """Write the binary subtrees rooted at one vertex into the padded rows
     `rel` (endpoint level below the root; -1 pads) and `flat` (endpoint flat
-    index in the subtree of the root taken as a tree of its own), in the
-    order of `enumerate_binary_subtrees`.  `hanging` holds the same arrays
-    for the shapes hanging at one child: the child alone, then its subtrees;
-    `scale_of[k]` is m^k, and `scale_of[-1]` is 0."""
+    index in the subtree of the root taken as a tree of its own).  Rows run
+    over the successor pairs (i, j) in lexicographic order, then over the
+    shape hanging at i, then over the shape hanging at j; a row lists the
+    endpoints of the shape at i, then those of the shape at j.  `hanging`
+    holds the same arrays for the shapes hanging at one child: the child
+    alone, then its subtrees; `scale_of[k]` is m^k, and `scale_of[-1]` is 0."""
     h_rel, h_flat = hanging
     count, width = h_rel.shape
     lengths = (h_rel >= 0).sum(axis=1)
@@ -388,8 +320,8 @@ def _write_subtrees(m: int, hanging: tuple[np.ndarray, np.ndarray], scale_of: np
 @lru_cache(maxsize=1)
 def _subtree_constraint_arrays(tree: TruncatedTree):
     """Padded (roots, endpoint flat indices, weight exponents) over every
-    interior vertex, one row per binary subtree in the order of
-    `enumerate_binary_subtrees`; an endpoint at k levels below the root has
+    interior vertex in flat order, one row per binary subtree in the order
+    `_write_subtrees` gives; an endpoint at k levels below the root has
     weight 2^-k, and padding has endpoint 0 and exponent -1.  Only the last
     tree's arrays are cached (`maxsize=1`).
 
@@ -404,7 +336,7 @@ def _subtree_constraint_arrays(tree: TruncatedTree):
     scale_of = np.append(m ** np.arange(depth + 1), 0).astype(np.int32)  # [-1] pads
     hanging = [(np.zeros((1, 1), np.int8), np.zeros((1, 1), np.int32))]
     for r in range(1, depth):
-        count = 1 + count_binary_subtrees(m, r)
+        count = 1 + _subtree_count(m, r)
         h_rel = np.full((count, 2**r), -1, dtype=np.int8)
         h_flat = np.zeros((count, 2**r), dtype=np.int32)
         h_rel[0, 0] = 0
@@ -413,7 +345,7 @@ def _subtree_constraint_arrays(tree: TruncatedTree):
     start = 0
     for level in range(depth):
         r = depth - level
-        n, count = tree.level_size(level), count_binary_subtrees(m, r)
+        n, count = tree.level_size(level), _subtree_count(m, r)
         block = slice(start, start + n * count)
         start += n * count
         vertices = np.arange(tree.level_offset(level), tree.level_offset(level) + n, dtype=np.int32)

@@ -1,10 +1,10 @@
-"""Geometry of the regular m-branching tree and its depth truncations.
+"""Addressing on the regular m-branching tree and its depth truncations.
 
 A vertex is addressed by its digit sequence (a_1, ..., a_k) with digits in
-{0, ..., m-1}; the root is the empty sequence.  Each level-k edge has length
-m^(-k), which induces a metric through minimal (self-avoiding) paths.  All
-rational quantities (psi values, distances) are computed exactly with
-`fractions.Fraction`; callers convert to float at output boundaries only.
+{0, ..., m-1}; the root is the empty sequence.  Values on a truncation live
+in flat arrays, level by level.  The digit-expansion map psi is the one
+exact-rational quantity left here: it is a `fractions.Fraction`, converted to
+float at output boundaries only.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 DEFAULT_VERTEX_BUDGET = 2**28
 BUDGET_ENV_VAR = "TREECONVEX_BUDGET"
@@ -33,10 +32,6 @@ class Vertex:
         for d in self.digits:
             if not 0 <= d < self.m:
                 raise ValueError(f"digit {d} out of range [0, {self.m})")
-
-    @classmethod
-    def root(cls, m: int) -> Vertex:
-        return cls(m, ())
 
     @classmethod
     def from_level_index(cls, m: int, level: int, index: int) -> Vertex:
@@ -81,61 +76,15 @@ class Vertex:
             raise ValueError("the root has no predecessor")
         return Vertex(self.m, self.digits[:-1])
 
-    def child(self, digit: int) -> Vertex:
-        return Vertex(self.m, self.digits + (digit,))
-
-    def children(self) -> list[Vertex]:
-        return [self.child(d) for d in range(self.m)]
-
     def __str__(self) -> str:
         if self.is_root:
             return ROOT_TEXT
         return ".".join(str(d) for d in self.digits)
 
 
-def _check_same_m(x: Vertex, y: Vertex) -> None:
-    if x.m != y.m:
-        raise ValueError(f"mismatched branching factors: {x.m} vs {y.m}")
-
-
 def psi(v: Vertex) -> Fraction:
     """Digit-expansion map: sum of digits[i] / m^(i+1), exactly."""
     return Fraction(v.index, v.m**v.level)
-
-
-def common_ancestor(x: Vertex, y: Vertex) -> Vertex:
-    """Deepest vertex lying on both root paths (longest common digit prefix)."""
-    _check_same_m(x, y)
-    n = 0
-    for a, b in zip(x.digits, y.digits):
-        if a != b:
-            break
-        n += 1
-    return Vertex(x.m, x.digits[:n])
-
-
-def distance(x: Vertex, y: Vertex) -> Fraction:
-    """Length of the minimal path: edge at level j counts m^(-j)."""
-    w = common_ancestor(x, y)
-    m = x.m
-    total = Fraction(0)
-    for j in range(w.level + 1, x.level + 1):
-        total += Fraction(1, m**j)
-    for j in range(w.level + 1, y.level + 1):
-        total += Fraction(1, m**j)
-    return total
-
-
-def minimal_path(x: Vertex, y: Vertex) -> list[Vertex]:
-    """The unique self-avoiding path from x to y, through the common ancestor."""
-    w = common_ancestor(x, y)
-    up = [x]
-    while up[-1].level > w.level:
-        up.append(up[-1].parent)
-    down = [y]
-    while down[-1].level > w.level:
-        down.append(down[-1].parent)
-    return up + down[-2::-1]
 
 
 def _vertex_budget() -> int:
@@ -233,21 +182,11 @@ class TruncatedTree:
             level += 1
         return Vertex.from_level_index(self.m, level, flat - self.level_offset(level))
 
-    def vertices(self) -> Iterator[Vertex]:
-        """All vertices in flat (level-major, index-ascending) order."""
-        for level in range(self.depth + 1):
-            for index in range(self.level_size(level)):
-                yield Vertex.from_level_index(self.m, level, index)
-
-    def interior_vertices(self) -> Iterator[Vertex]:
-        for level in range(self.depth):
-            for index in range(self.level_size(level)):
-                yield Vertex.from_level_index(self.m, level, index)
-
     def labels(self) -> list[str]:
         """The dotted text form of every vertex in flat order, equal to
-        `[str(v) for v in self.vertices()]`; each level is built from the
-        labels of the level above, without a `Vertex` per row."""
+        `[str(self.vertex_at(i)) for i in range(self.vertex_count)]`; each
+        level is built from the labels of the level above, without a `Vertex`
+        per row."""
         digits = [str(d) for d in range(self.m)]
         level = digits
         out = [ROOT_TEXT, *level]

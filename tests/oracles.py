@@ -1,10 +1,12 @@
 """Independent routes to the brute-force constraint arrays of
-`treeconvex.convexity` and to the function-CSV reader of `treeconvex.cli`,
-for tests only.
+`treeconvex.convexity`, to the greatest function that satisfies them, and to
+the function-CSV reader of `treeconvex.cli`, for tests only.
 
-Segments come from `minimal_path` and exact `Fraction` distances, one vertex
-pair at a time; binary subtrees come from `enumerate_binary_subtrees` and
-`BinarySubtree.endpoint_weights`.  Both return the arrays in the layout the
+Vertices are plain digit tuples, enumerated level by level with
+`itertools.product`; nothing here uses the library's geometry.  The minimal
+path between two vertices runs through their common digit prefix, an edge
+down to level k has the exact length `Fraction(1, m**k)`, and a binary
+subtree is the tuple of its endpoints.  The arrays come in the layout the
 library's predicates evaluate, so the tests can demand bitwise equality.
 `read_function_csv` reads every file one `csv` row at a time.
 """
@@ -14,62 +16,140 @@ from __future__ import annotations
 import csv
 import math
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 
-from treeconvex import TreeFunction, TruncatedTree, Vertex, enumerate_binary_subtrees
-from treeconvex.tree import distance, minimal_path
+from treeconvex import TreeFunction, TruncatedTree, Vertex
+
+
+def digit_tuples(m: int, depth: int):
+    """Every vertex down to level `depth` in flat order: level by level, and
+    lexicographic within a level."""
+    for level in range(depth + 1):
+        yield from product(range(m), repeat=level)
+
+
+def vertices(tree: TruncatedTree) -> list[Vertex]:
+    """Every vertex of `tree` as a `Vertex`, in flat order."""
+    return [Vertex(tree.m, d) for d in digit_tuples(tree.m, tree.depth)]
+
+
+def common_prefix(x: tuple, y: tuple) -> tuple:
+    """The digits of the deepest common ancestor of x and y."""
+    n = 0
+    while n < min(len(x), len(y)) and x[n] == y[n]:
+        n += 1
+    return x[:n]
+
+
+def minimal_path(x: tuple, y: tuple) -> list[tuple]:
+    """The self-avoiding path from x up to the common prefix, then down to y."""
+    n = len(common_prefix(x, y))
+    return [x[:k] for k in range(len(x), n, -1)] + [y[:k] for k in range(n, len(y) + 1)]
+
+
+def edge_lengths(m: int, path: list[tuple]) -> list[Fraction]:
+    """The exact length of each step of `path`: 1/m^k for an edge down to level k."""
+    return [Fraction(1, m ** max(len(a), len(b))) for a, b in zip(path, path[1:])]
+
+
+def distance(m: int, x: tuple, y: tuple) -> Fraction:
+    """The exact length of the minimal path between x and y."""
+    return sum(edge_lengths(m, minimal_path(x, y)), Fraction(0))
 
 
 def segment_constraints(tree: TruncatedTree):
     """(iz, ix, iy, wx, wy): one row per vertex pair x < y in flat order and
     z strictly inside the minimal path [x, y], z in path order from x."""
-    verts = list(tree.vertices())
+    m = tree.m
+    verts = list(digit_tuples(m, tree.depth))
     flat = {v: i for i, v in enumerate(verts)}
-    iz: list[int] = []
-    ix: list[int] = []
-    iy: list[int] = []
-    wx: list[float] = []
-    wy: list[float] = []
-    for a in range(len(verts)):
+    rows = []
+    for a, x in enumerate(verts):
         for b in range(a + 1, len(verts)):
-            x, y = verts[a], verts[b]
-            path = minimal_path(x, y)
-            if len(path) <= 2:
-                continue
-            dxy = distance(x, y)
+            path = minimal_path(x, verts[b])
+            steps = edge_lengths(m, path)
+            dxy = sum(steps)
             dxz = Fraction(0)
-            for prev, z in zip(path, path[1:-1]):
-                dxz += Fraction(1, tree.m ** max(prev.level, z.level))
-                iz.append(flat[z])
-                ix.append(flat[x])
-                iy.append(flat[y])
-                wx.append(float((dxy - dxz) / dxy))
-                wy.append(float(dxz / dxy))
+            for step, z in zip(steps, path[1:-1]):
+                dxz += step
+                rows.append((flat[z], a, b, float((dxy - dxz) / dxy), float(dxz / dxy)))
+    iz, ix, iy, wx, wy = zip(*rows)
     return (np.array(iz, dtype=np.int64), np.array(ix, dtype=np.int64),
             np.array(iy, dtype=np.int64), np.array(wx), np.array(wy))
+
+
+def binary_subtrees(m: int, root: tuple, rel: int) -> list[tuple]:
+    """The endpoint tuples of every binary subtree rooted at `root` with
+    endpoints at most `rel` levels below it: the root with two successors
+    i < j and a shape hanging at each, where a shape is a vertex alone or a
+    binary subtree rooted there.  The endpoints at i come first."""
+    return _shapes(m, root, rel)[1:]
+
+
+def _shapes(m: int, v: tuple, rel: int) -> list[tuple]:
+    shapes = [(v,)]
+    if rel:
+        for i, j in combinations(range(m), 2):
+            right = _shapes(m, v + (j,), rel - 1)
+            shapes += [left + r for left in _shapes(m, v + (i,), rel - 1) for r in right]
+    return shapes
 
 
 def subtree_constraints(tree: TruncatedTree, from_level: int = 0):
     """(roots, endpoints, weights): one row per binary subtree of every
     interior vertex from level `from_level` on, in flat order, padded to the
-    widest row with endpoint 0 and weight 0."""
-    roots: list[int] = []
-    rows: list[tuple[list[int], list[float]]] = []
-    for x in tree.interior_vertices():
-        if x.level < from_level:
+    widest row with endpoint 0 and weight 0.  An endpoint k levels below the
+    root weighs 1/2^k."""
+    m, depth = tree.m, tree.depth
+    flat = {v: i for i, v in enumerate(digit_tuples(m, depth))}
+    roots, rows = [], []
+    for x in digit_tuples(m, depth - 1):
+        if len(x) < from_level:
             continue
-        for sub in enumerate_binary_subtrees(tree, x, tree.depth - x.level):
-            roots.append(tree.flat_index(x))
-            rows.append(([tree.flat_index(y) for y in sub.endpoints],
-                         [float(w) for w in sub.endpoint_weights()]))
-    width = max((len(e) for e, _ in rows), default=0)
+        for ends in binary_subtrees(m, x, depth - len(x)):
+            roots.append(flat[x])
+            rows.append([(flat[y], 1 / 2 ** (len(y) - len(x))) for y in ends])
+    width = max(map(len, rows), default=0)
     endpoints = np.zeros((len(rows), width), dtype=np.int64)
     weights = np.zeros((len(rows), width))
-    for r, (e, w) in enumerate(rows):
-        endpoints[r, : len(e)] = e
-        weights[r, : len(w)] = w
+    for r, row in enumerate(rows):
+        endpoints[r, : len(row)], weights[r, : len(row)] = zip(*row)
     return np.array(roots, dtype=np.int64), endpoints, weights
+
+
+def definitional_envelope(arrays, start: np.ndarray) -> tuple[np.ndarray, int]:
+    """The greatest function below `start` that satisfies every constraint of
+    `arrays` (segment triples or subtree rows), and the number of sweeps.
+
+    Each sweep sets u(z) = min(u(z), least right-hand side of the
+    constraints with target z), all on the previous sweep's values, and the
+    sweeps stop when one changes nothing.  Values never rise, so with an
+    obstacle f as the start, u = min(u, f) holds throughout.  No constraint
+    targets a leaf, so Dirichlet data start at their sup with the leaves
+    set to the data."""
+    order = np.argsort(arrays[0], kind="stable")
+    target, *rest = (a[order] for a in arrays)
+    if len(rest) == 4:
+        ix, iy, wx, wy = rest
+
+        def bound(u):
+            return wx * u[ix] + wy * u[iy]
+    else:
+        endpoints, weights = rest
+
+        def bound(u):
+            return (weights * u[endpoints]).sum(axis=1)
+    first = np.flatnonzero(np.r_[True, target[1:] != target[:-1]])
+    z = target[first]
+    u = np.array(start, dtype=np.float64)
+    for sweeps in range(1, 10_001):
+        lowered = np.minimum(u[z], np.minimum.reduceat(bound(u), first))
+        if np.array_equal(lowered, u[z]):
+            return u, sweeps
+        u[z] = lowered
+    raise RuntimeError("no fixed point after 10000 sweeps")
 
 
 def segment_verdict(u: TreeFunction, arrays, tol: float) -> tuple[bool, int, list[int]]:

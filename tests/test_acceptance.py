@@ -38,6 +38,7 @@ from treeconvex._kernels import apply_operator
 from treeconvex.boundary import parse_datum
 from treeconvex.cli import main as cli_main
 
+import oracles
 from engines import ENGINES, solve
 
 
@@ -98,7 +99,7 @@ def test_criterion_1_reference_fixed_points():
                 # beside x0, so its pair term is u(x0)/2 > 0; for the convex
                 # reference the predecessor branch still gives 0 below the root.
                 cases = [("convex", u, op_convex,
-                          Vertex.root(m) if level == 1 else None, (m - 1) / (2 * m)),
+                          Vertex(m, ()) if level == 1 else None, (m - 1) / (2 * m)),
                          ("binary", b, op_binary, x0.parent, 0.5)]
                 for variant, f, op_at, gap_at, gap in cases:
                     if m > 2:
@@ -447,3 +448,46 @@ def test_criterion_10_determinism(tmp_path):
         all_equal = all_equal and blobs[0] == blobs[1]
     report(10, "byte-determinism", all_equal, "2 runs, both data")
     assert all_equal
+
+
+def test_criterion_11_definitional_envelope():
+    """The solved envelope is the largest segment-convex (binary-convex)
+    function: `solve_dirichlet` and `solve_obstacle` match, within
+    1e-12 * max|data|, the greatest function that satisfies every segment
+    (binary-subtree) constraint, swept down from the definition by
+    `oracles.definitional_envelope`.  Random leaf data and obstacles, 4 of
+    each per size; convex at m=2 L=4..6 and m=3 L=3, binary at m=2 L=4 and
+    m=3 L=3."""
+    rng = np.random.default_rng(11)
+    cases = [("convex", 2, 4), ("convex", 2, 5), ("convex", 2, 6), ("convex", 3, 3),
+             ("binary", 2, 4), ("binary", 3, 3)]
+    failures = []
+    sweeps = {}
+    worst = 0.0
+    for variant, m, depth in cases:
+        tree = TruncatedTree(m, depth)
+        build = oracles.segment_constraints if variant == "convex" else oracles.subtree_constraints
+        arrays = build(tree)
+        cfg = SolveConfig(variant=variant)
+        for scale in (1.0, 1.0, 1e3, 1e-3):
+            g = scale * rng.uniform(-1, 1, tree.leaf_count)
+            start = np.full(tree.vertex_count, g.max())
+            start[tree.leaf_slice] = g
+            f = scale * rng.uniform(-1, 1, tree.vertex_count)
+            runs = [("dirichlet", start, solve_dirichlet(tree, g, cfg).solution.values),
+                    ("obstacle", f, solve_obstacle(
+                        tree, TreeFunction.from_values(tree, f), cfg).envelope.values)]
+            for kind, data, solved in runs:
+                want, n = oracles.definitional_envelope(arrays, data)
+                key = (variant, kind)
+                sweeps[key] = max(sweeps.get(key, 0), n)
+                err = float(np.max(np.abs(solved - want))) / float(np.max(np.abs(data)))
+                worst = max(worst, err)
+                if err > 1e-12:
+                    failures.append((variant, kind, m, depth, scale, err))
+    ok = not failures
+    counts = ", ".join(f"{v} {k} {n}" for (v, k), n in sweeps.items())
+    report(11, "definitional-envelope", ok,
+           f"{len(cases) * 8} solves, max |solved - definitional| / max|data| = {worst:.1e}; "
+           f"most sweeps: {counts}")
+    assert ok, failures

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from treeconvex import (
     reference_binary_indicator,
     sample_leaves,
 )
+from treeconvex.boundary import SUBSAMPLE_BUDGET
 
 
 def at(g, *ts):
@@ -145,6 +148,30 @@ class TestSampling:
             sample_leaves(g, tree, "supremum")
         with pytest.raises(ValueError, match="subsamples"):
             sample_leaves(g, tree, "inf_subsample", 0)
+
+    def test_subsample_budget(self):
+        tree = TruncatedTree(2, 2)
+        g = BoundaryDatum.constant(0.5)
+        with pytest.raises(ValueError, match=f"{SUBSAMPLE_BUDGET + 1} subsamples exceed "
+                                             f"the budget of {SUBSAMPLE_BUDGET} per leaf"):
+            sample_leaves(g, tree, "inf_subsample", SUBSAMPLE_BUDGET + 1)
+        leaves = sample_leaves(g, tree, "inf_subsample", SUBSAMPLE_BUDGET)
+        np.testing.assert_array_equal(leaves, 0.5)
+
+    def test_inf_mode_peak_does_not_grow_with_subsamples(self):
+        # blocks hold about 2^20 points whatever N is; in one block of all
+        # 4096 leaves, N = 4095 took about 400 MB against 25 MB for N = 255
+        tree = TruncatedTree(2, 12)
+        g = BoundaryDatum.abs_dev(0.3)
+        peaks = []
+        for n in (255, 4095):
+            tracemalloc.start()
+            try:
+                sample_leaves(g, tree, "inf_subsample", n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestConvergenceStudy:

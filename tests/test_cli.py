@@ -45,7 +45,7 @@ def oracle_solution_csv(tree, values, coincidence=None):
     if coincidence is not None:
         header += ",coincidence"
     lines = [header]
-    for flat, v in enumerate(tree.vertices()):
+    for flat, v in enumerate(oracles.vertices(tree)):
         row = f"{v},{v.level},{v.index},{float(psi(v))!r},{float(values[flat])!r}"
         if coincidence is not None:
             row += ",true" if coincidence[flat] else ",false"
@@ -56,8 +56,8 @@ def oracle_solution_csv(tree, values, coincidence=None):
 def oracle_dot(tree, values):
     lines = ["digraph tree {"]
     lines += [f'  "{v}" [label="{v}\\n{float(values[flat])!r}"];'
-              for flat, v in enumerate(tree.vertices())]
-    lines += [f'  "{v.parent}" -> "{v}";' for v in tree.vertices() if not v.is_root]
+              for flat, v in enumerate(oracles.vertices(tree))]
+    lines += [f'  "{v.parent}" -> "{v}";' for v in oracles.vertices(tree) if not v.is_root]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -278,6 +278,13 @@ class TestSolve:
         assert code == 0
         assert json.loads(out_json.read_text())["sampling"] == "inf:8"
 
+    def test_inf_sampling_over_budget(self, capsys):
+        for argv in (["solve", "--depth", "4"], ["converge", "--depths", "3,4"]):
+            assert run(*argv, "--m", "2", "--datum", "absdev:0.5",
+                       "--sampling", "inf:65537") == 2
+            err = capsys.readouterr().err
+            assert "65537 subsamples exceed the budget of 65536 per leaf" in err
+
 
 class TestCheck:
     def test_constant_function_all_true(self, tmp_path):
@@ -358,16 +365,17 @@ class TestCheck:
         assert "missing" in capsys.readouterr().err
 
         fn.write_text("vertex,value\n" + "\n".join(
-            f"{v},0" for v in tree.vertices()) + "\nroot,0\n")
+            f"{v},0" for v in oracles.vertices(tree)) + "\nroot,0\n")
         assert run("check", "--m", "2", "--depth", "2", "--function", str(fn)) == 2
         assert "duplicate" in capsys.readouterr().err
 
-        fn.write_text("vertex,value\n" + "\n".join(f"{v},x" for v in tree.vertices()) + "\n")
+        fn.write_text("vertex,value\n" + "\n".join(
+            f"{v},x" for v in oracles.vertices(tree)) + "\n")
         assert run("check", "--m", "2", "--depth", "2", "--function", str(fn)) == 2
         assert "bad value" in capsys.readouterr().err
 
         # a row without its value cell, and non-finite values, name path and row
-        rows = [f"{v},0" for v in tree.vertices()]
+        rows = [f"{v},0" for v in oracles.vertices(tree)]
         for bad_row, message in [("1.0", "missing 'value' cell"),
                                  ("1.0,nan", "non-finite value 'nan'"),
                                  ("1.0,inf", "non-finite value 'inf'")]:
@@ -383,7 +391,7 @@ class TestCheck:
         # a repeated column name is refused, not read from its last copy
         for header, column in [("vertex,value,vertex", "vertex"), ("value,vertex,value", "value")]:
             fn.write_text(header + "\n" + "\n".join(
-                f"{v},0,x" for v in tree.vertices()) + "\n")
+                f"{v},0,x" for v in oracles.vertices(tree)) + "\n")
             assert run("check", "--m", "2", "--depth", "2", "--function", str(fn)) == 2
             assert f"{fn}: duplicate column '{column}'" in capsys.readouterr().err
 
@@ -395,7 +403,7 @@ class TestCheck:
 
         tree = TruncatedTree(2, 2)
         long = "0." + "0" * max(140_000, csv.field_size_limit()) + "1"
-        rows = [f"{v},0" for v in tree.vertices()]
+        rows = [f"{v},0" for v in oracles.vertices(tree)]
         fn = tmp_path / "f.csv"
         flag = "--function" if command == "check" else "--obstacle"
         for text, row in [
@@ -472,7 +480,8 @@ class TestArtifactBytes:
         # rows name the vertices "0", "1" and "1.2"
         tree = TruncatedTree(3, 2)
         texts = {"0": "00", "1": " 1", "1.2": "1.02"}
-        rows = [f"{texts.get(str(v), v)},{flat}" for flat, v in enumerate(tree.vertices())]
+        rows = [f"{texts.get(str(v), v)},{flat}"
+                for flat, v in enumerate(oracles.vertices(tree))]
         path = tmp_path / "f.csv"
         path.write_text("vertex,value\n" + "\n".join(rows) + "\n")
         np.testing.assert_array_equal(read_function_csv(str(path), tree).values,

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +18,9 @@ from treeconvex import (
     TruncatedTree,
     Vertex,
     arborescence_laplacian,
-    count_binary_subtrees,
     eigenvalues_binary,
     eigenvalues_convex,
     eigenvalues_k,
-    enumerate_binary_subtrees,
     is_binary_convex,
     is_convex_operator,
     is_convex_segment,
@@ -34,7 +34,11 @@ from treeconvex import (
     solve_dirichlet,
 )
 from treeconvex._kernels import level_operator
-from treeconvex.convexity import _segment_constraints, _subtree_constraint_arrays
+from treeconvex.convexity import (
+    _segment_constraints,
+    _subtree_constraint_arrays,
+    _subtree_count,
+)
 
 import oracles
 
@@ -48,6 +52,15 @@ def function_with(tree, assignments, fill=0.0):
 
 def random_function(tree, rng, scale=1.0):
     return TreeFunction.from_values(tree, scale * rng.standard_normal(tree.vertex_count))
+
+
+def interior_vertices(tree):
+    """Every interior vertex in flat order."""
+    return [Vertex(tree.m, d) for d in oracles.digit_tuples(tree.m, tree.depth - 1)]
+
+
+def children(x):
+    return [Vertex(x.m, x.digits + (d,)) for d in range(x.m)]
 
 
 class TestOperators:
@@ -69,7 +82,7 @@ class TestOperators:
             runs += [("kconvex", k) for k in range(2, m + 1)]
             ops = {run: [level_operator(tree, u.values, level, *run) for level in range(tree.depth)]
                    for run in runs}
-            for x in tree.interior_vertices():
+            for x in interior_vertices(tree):
                 row = {run: ops[run][x.level][x.index] for run in runs}
                 assert row["convex", None] == op_convex(u, x), x
                 assert row["binary", None] == op_binary(u, x), x
@@ -84,7 +97,7 @@ class TestOperators:
     def test_constant_is_fixed(self):
         tree = TruncatedTree(3, 2)
         u = TreeFunction.constant(tree, 4.25)
-        for x in tree.interior_vertices():
+        for x in interior_vertices(tree):
             assert op_convex(u, x) == 4.25
             assert op_binary(u, x) == 4.25
             assert op_kconvex(u, x, 3) == 4.25
@@ -120,10 +133,10 @@ class TestOperators:
         tree = TruncatedTree(4, 2)
         for _ in range(20):
             u = random_function(tree, rng)
-            for x in tree.interior_vertices():
+            for x in interior_vertices(tree):
                 assert op_kconvex(u, x, 2) == op_binary(u, x)
                 assert op_kconvex(u, x, 4) == pytest.approx(
-                    float(np.mean([u[c] for c in x.children()])), abs=1e-14)
+                    float(np.mean([u[c] for c in children(x)])), abs=1e-14)
 
     def test_leaf_rejected(self):
         tree = TruncatedTree(2, 2)
@@ -177,7 +190,7 @@ class TestEigenvalues:
             tree = TruncatedTree(m, 3)
             for _ in range(10):
                 u = random_function(tree, rng)
-                for x in tree.interior_vertices():
+                for x in interior_vertices(tree):
                     if x.is_root:
                         continue
                     gap = op_convex(u, x) - u[x]
@@ -218,7 +231,7 @@ class TestEigenvalues:
         for m, k in [(4, 2), (4, 3), (5, 3), (5, 4)]:
             tree = TruncatedTree(m, 2)
             u = random_function(tree, rng)
-            for x in tree.interior_vertices():
+            for x in interior_vertices(tree):
                 assert sum(eigenvalues_k(u, x, k)) == pytest.approx(
                     comb(m, k) * arborescence_laplacian(u, x), abs=1e-12)
 
@@ -246,7 +259,7 @@ class TestLaplacians:
         for m in (2, 3):
             tree = TruncatedTree(m, 3)
             u = random_function(tree, rng)
-            for x in tree.interior_vertices():
+            for x in interior_vertices(tree):
                 if x.is_root:
                     continue
                 assert laplacian_residual(u, x) == pytest.approx(
@@ -274,7 +287,7 @@ class TestReferences:
             for j in range(tree.depth - x0.level + 1):
                 assert u[v] == float(1 - Fraction(1, m ** (j + 1)))
                 branch_values.append(u[v])
-                v = v.child(0)
+                v = children(v)[0]
             # strictly increasing toward 1 down any branch inside the subtree
             assert all(a < b < 1.0 for a, b in zip(branch_values, branch_values[1:]))
 
@@ -432,7 +445,7 @@ class TestPredicates:
         check = is_binary_convex(u, mode="subtrees")
         assert check.ok is None
         assert check.skipped == "budget: 155714970 binary subtrees exceed 1000000"
-        total = sum(3**level * count_binary_subtrees(3, 4 - level) for level in range(4))
+        total = sum(3**level * _subtree_count(3, 4 - level) for level in range(4))
         assert str(total) in check.skipped
         # from m=2 depth 15 on the count has more digits than str() converts
         deep = is_binary_convex(TreeFunction.constant(TruncatedTree(2, 15), 0.0), mode="subtrees")
@@ -446,14 +459,19 @@ class TestPredicates:
         assert deeper.skipped == deep.skipped
 
 
+def weights(root, ends):
+    return [Fraction(1, 2 ** (len(y) - len(root))) for y in ends]
+
+
 class TestBinarySubtrees:
+    """The oracle's binary subtrees, as endpoint tuples: the bitwise array
+    tests mean something only if they are right."""
+
     def test_depth_one_is_sibling_pairs(self):
-        tree = TruncatedTree(3, 2)
-        subs = enumerate_binary_subtrees(tree, Vertex(3, (0,)), 1)
-        assert len(subs) == 3
-        for sub in subs:
-            assert len(sub.endpoints) == 2
-            assert sum(sub.endpoint_weights()) == 1
+        subs = oracles.binary_subtrees(3, (0,), 1)
+        assert subs == [((0, 0), (0, 1)), ((0, 0), (0, 2)), ((0, 1), (0, 2))]
+        for ends in subs:
+            assert weights((0,), ends) == [Fraction(1, 2)] * 2
 
     def test_count_matches_independent_recursion(self):
         def node_choices(m, r):
@@ -463,47 +481,40 @@ class TestBinarySubtrees:
 
         for m, rel in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]:
             expected = (m * (m - 1) // 2) * node_choices(m, rel - 1) ** 2
-            assert count_binary_subtrees(m, rel) == expected
-            tree = TruncatedTree(m, rel)
-            subs = enumerate_binary_subtrees(tree, Vertex(m, ()), rel)
-            assert len(subs) == expected
+            assert _subtree_count(m, rel) == expected
+            assert len(oracles.binary_subtrees(m, (), rel)) == expected
+            for cap in (1, expected - 1, expected, expected + 1):
+                assert _subtree_count(m, rel, cap) == min(expected, cap)
+        assert _subtree_count(3, 0) == 0
 
     def test_structure_invariants_and_weights(self):
-        tree = TruncatedTree(3, 3)
-        x = Vertex(3, (0,))
-        for sub in enumerate_binary_subtrees(tree, x, 2):
-            members = set(sub.members)
-            assert sub.root == x and x in members
+        m, x = 3, (0,)
+        subs = oracles.binary_subtrees(m, x, 2)
+        assert len(set(subs)) == len(subs) == _subtree_count(m, 2)
+        for ends in subs:
+            assert all(len(y) > len(x) and y[: len(x)] == x for y in ends)
+            # prefix-free: no endpoint lies below another
+            assert not any(a != b and b[: len(a)] == a for a in ends for b in ends)
+            # the members are the endpoints and their ancestors up to x; x has
+            # two member successors, every endpoint none, every other member two
+            members = {y[:k] for y in ends for k in range(len(x), len(y) + 1)}
             for v in members:
-                in_set = [c for c in v.children() if c in members]
-                if v == x:
-                    assert len(in_set) == 2
-                else:
-                    assert v.level > x.level
-                    assert len(in_set) in (0, 2)
-                    assert (len(in_set) == 0) == (v in sub.endpoints)
-            assert sum(sub.endpoint_weights()) == 1
-
-    def test_out_of_tree_and_budget_errors(self):
-        tree = TruncatedTree(3, 2)
-        with pytest.raises(ValueError, match="exceeds the depth"):
-            enumerate_binary_subtrees(tree, Vertex(3, (0,)), 3)
-        deep = TruncatedTree(3, 4)
-        with pytest.raises(ValueError, match="budget"):
-            enumerate_binary_subtrees(deep, Vertex(3, ()), 4)
+                kids = [v + (d,) for d in range(m) if v + (d,) in members]
+                assert len(kids) == (0 if v in ends else 2)
+            assert sum(weights(x, ends)) == 1
 
     def test_endpoint_average_matches_batch_mode(self):
         rng = np.random.default_rng(53)
         tree = TruncatedTree(2, 4)
         u = random_function(tree, rng)
-        # evaluating per object and via the vectorized matrix must agree
-        for x in [Vertex(2, ()), Vertex(2, (1,))]:
-            rel = tree.depth - x.level
-            subs = enumerate_binary_subtrees(tree, x, rel)
-            worst = min(sub.endpoint_average(u) for sub in subs)
-            check = is_binary_convex(u, tol=1e-9, mode="subtrees")
-            violated_here = u[x] > worst + 1e-9
-            assert violated_here == (x in check.violations)
+        check = is_binary_convex(u, tol=1e-9, mode="subtrees")
+        # evaluating per subtree and via the vectorized matrix must agree
+        for x in [(), (1,)]:
+            subs = oracles.binary_subtrees(2, x, tree.depth - len(x))
+            worst = min(sum(float(w) * u[Vertex(2, y)] for w, y in zip(weights(x, ends), ends))
+                        for ends in subs)
+            violated_here = u[Vertex(2, x)] > worst + 1e-9
+            assert violated_here == (Vertex(2, x) in check.violations)
 
 
 # every size the budgets admit at m in {2, 3, 4, 5}, as far as the Fraction
@@ -511,7 +522,7 @@ class TestBinarySubtrees:
 SEGMENT_CASES = [(2, d) for d in range(1, 7)] + [(3, d) for d in range(1, 5)] + [
     (4, d) for d in range(1, 4)] + [(5, d) for d in range(1, 4)]
 # (m, depth, rel): the arrays are checked on the rows whose root lies at most
-# rel levels above the leaves (None: every row); enumeration builds one object
+# rel levels above the leaves (None: every row); the oracle builds one tuple
 # per subtree, so the largest sizes the budget admits (m=2 depth 5, m=4
 # depth 3) leave out the rows of their top levels
 SUBTREE_CASES = [(2, d, None) for d in range(1, 5)] + [(3, d, None) for d in range(1, 4)] + [
@@ -557,8 +568,20 @@ def sample_functions(tree, seed):
 
 
 class TestBruteForceArrays:
-    """The vectorized constraint arrays against the Fraction and Vertex routes
-    in tests/oracles.py: bitwise, row order included."""
+    """The vectorized constraint arrays against the digit-tuple routes in
+    tests/oracles.py: bitwise, row order included."""
+
+    def test_oracle_imports_only_data_types(self):
+        # the oracle may not call the library it checks: from the package it
+        # takes the tree and function types, and `Vertex` for `Vertex.parse`
+        source = ast.parse(Path(oracles.__file__).read_text())
+        imported = set()
+        for node in ast.walk(source):
+            if isinstance(node, ast.Import):
+                imported |= {a.name for a in node.names if a.name.startswith("treeconvex")}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("treeconvex"):
+                imported |= {a.name for a in node.names}
+        assert imported == {"TruncatedTree", "TreeFunction", "Vertex"}
 
     @pytest.mark.parametrize("m,depth", SEGMENT_CASES)
     def test_segment_arrays_match_fraction_route(self, m, depth):
