@@ -125,7 +125,9 @@ def load_datum_csv(path: str) -> BoundaryDatum:
             knots.append((float(row[0]), float(row[1])))
         except ValueError as exc:
             raise ValueError(f"{path}: row {n}: non-numeric entry {row!r}") from exc
-    bad = _knot_error(knots) if len(knots) >= 2 else None
+    if len(knots) < 2:
+        raise ValueError(f"{path}: piecewise datum needs at least two knots, got {len(knots)}")
+    bad = _knot_error(knots)
     if bad is not None:
         # knot i sits at data row i + 1
         raise ValueError(f"{path}: row {bad[0] + 1}: {bad[1]}")
@@ -142,13 +144,13 @@ def parse_datum(spec: str) -> BoundaryDatum:
             args = [float(a) for a in arg.split(",")] if arg else []
         except ValueError as exc:
             raise ValueError(f"malformed datum arguments in {spec!r}") from exc
-        if kind in ("constant", "const") and len(args) == 1:
+        if kind == "constant" and len(args) == 1:
             return BoundaryDatum.constant(args[0])
         if kind == "affine" and len(args) == 2:
             return BoundaryDatum.affine(args[0], args[1])
         if kind == "power" and len(args) == 1:
             return BoundaryDatum.power(args[0])
-        if kind in ("absdev", "abs_dev") and len(args) == 1:
+        if kind == "absdev" and len(args) == 1:
             return BoundaryDatum.abs_dev(args[0])
         if kind == "indicator" and len(args) == 2:
             return BoundaryDatum.indicator(args[0], args[1])
@@ -165,19 +167,14 @@ def leaf_psi_values(tree: TruncatedTree) -> np.ndarray:
     return np.arange(tree.leaf_count, dtype=np.float64) / float(tree.m**tree.depth)
 
 
-def sample_leaves(
-    g: BoundaryDatum,
-    tree: TruncatedTree,
-    mode: str = "point",
-    subsamples: int = 16,
-) -> np.ndarray:
-    """Leaf values for the datum: g(psi(leaf)) in point mode, or the minimum
-    of g over subsamples+1 uniform points of the leaf interval in inf mode."""
+def sample_leaves(g: BoundaryDatum, tree: TruncatedTree,
+                  subsamples: int | None = None) -> np.ndarray:
+    """Leaf values for the datum: g(psi(leaf)) in point mode (`subsamples`
+    None), or the minimum of g over subsamples+1 uniform points of the leaf
+    interval in inf mode."""
     psis = leaf_psi_values(tree)
-    if mode == "point":
+    if subsamples is None:
         return g.evaluate(psis)
-    if mode != "inf_subsample":
-        raise ValueError(f"mode must be 'point' or 'inf_subsample', got {mode!r}")
     if subsamples < 1:
         raise ValueError(f"inf mode needs subsamples >= 1, got {subsamples}")
     if subsamples > SUBSAMPLE_BUDGET:
@@ -208,11 +205,11 @@ def convergence_study(
     m: int,
     depths: list[int],
     cfg: SolveConfig,
-    sampling: str = "point",
-    subsamples: int = 16,
+    subsamples: int | None = None,
 ) -> ConvergenceSeries:
-    """Solve the cfg.variant Dirichlet problem at each depth and record the
-    root values and their successive gaps."""
+    """Solve the cfg.variant Dirichlet problem at each depth, with leaves
+    sampled as `sample_leaves` does, and record the root values and their
+    successive gaps."""
     if not depths:
         raise ValueError("depths must be non-empty")
     if any(d2 <= d1 for d1, d2 in zip(depths, depths[1:])):
@@ -234,7 +231,7 @@ def convergence_study(
     worst: list[Vertex] = []
     for depth in depths:
         tree = TruncatedTree(m, depth)
-        leaves = sample_leaves(g, tree, sampling, subsamples)
+        leaves = sample_leaves(g, tree, subsamples)
         report = solve_dirichlet(tree, leaves, cfg)
         root_values.append(float(report.solution.values[0]))
         converged.append(report.converged)

@@ -20,6 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._kernels import ENVELOPE_VARIANTS
 from .boundary import convergence_study, leaf_psi_values, parse_datum, sample_leaves
 from .convexity import is_binary_convex, is_convex_operator, is_convex_segment
 from .functions import TreeFunction
@@ -209,17 +210,15 @@ def _read_rows(path: str, tree: TruncatedTree, cells: dict[str, int]) -> np.ndar
     return values
 
 
-def _parse_sampling(spec: str) -> tuple[str, int]:
+def _parse_sampling(spec: str) -> int | None:
+    """The `subsamples` of `sample_leaves`: None for "point", N for "inf:N"."""
     if spec == "point":
-        return "point", 16
-    if spec == "inf":
-        return "inf_subsample", 16
+        return None
     if spec.startswith("inf:"):
         try:
-            n = int(spec.split(":", 1)[1])
+            return int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ValueError(f"malformed sampling spec {spec!r}") from exc
-        return "inf_subsample", n
     raise ValueError(f"sampling must be 'point' or 'inf:N', got {spec!r}")
 
 
@@ -270,8 +269,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     tree = TruncatedTree(args.m, args.depth)
     datum = parse_datum(args.datum)
-    mode, subsamples = _parse_sampling(args.sampling)
-    leaves = sample_leaves(datum, tree, mode, subsamples)
+    leaves = sample_leaves(datum, tree, _parse_sampling(args.sampling))
     report = solve_dirichlet(tree, leaves, cfg)
 
     values = report.solution.values
@@ -328,7 +326,7 @@ def cmd_obstacle(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     tree = TruncatedTree(args.m, args.depth)
     f = read_function_csv(args.obstacle, tree)
-    result = solve_obstacle(tree, f, cfg)
+    result = solve_obstacle(f, cfg)
     values = result.envelope.values
 
     if args.out_csv:
@@ -357,9 +355,12 @@ def cmd_obstacle(args: argparse.Namespace) -> int:
 def cmd_converge(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     datum = parse_datum(args.datum)
-    mode, subsamples = _parse_sampling(args.sampling)
-    depths = [int(d) for d in args.depths.split(",")]
-    series = convergence_study(datum, args.m, depths, cfg, mode, subsamples)
+    subsamples = _parse_sampling(args.sampling)
+    try:
+        depths = [int(d) for d in args.depths.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"malformed depths {args.depths!r}") from exc
+    series = convergence_study(datum, args.m, depths, cfg, subsamples)
 
     if args.out_csv:
         lines = ["depth,root_value,delta"]
@@ -386,11 +387,12 @@ def cmd_converge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, need_depth: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, need_depth: bool = True,
+                variants: Iterable[str] = VARIANT_NAMES) -> None:
     parser.add_argument("--m", type=int, required=True, help="branching factor (>= 2)")
     if need_depth:
         parser.add_argument("--depth", type=int, required=True, help="truncation depth (>= 1)")
-    parser.add_argument("--variant", choices=sorted(VARIANT_NAMES), default="convex")
+    parser.add_argument("--variant", choices=sorted(variants), default="convex")
     parser.add_argument("--k", type=int, default=None, help="subset size for kconvex")
     parser.add_argument("--tol", type=float, default=1e-12)
     parser.add_argument("--max-iter", type=int, default=1_000_000)
@@ -428,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_obs = sub.add_parser("obstacle", help="solve the obstacle problem for a function CSV")
-    _add_common(p_obs)
+    _add_common(p_obs, variants=ENVELOPE_VARIANTS)  # spelled alike in the CLI
     p_obs.add_argument("--obstacle", required=True, help="obstacle CSV covering the tree")
     _add_outputs(p_obs)
     p_obs.set_defaults(func=cmd_obstacle)

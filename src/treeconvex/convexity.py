@@ -19,12 +19,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from ._kernels import apply_operator, full_laplacian_weights
+from ._kernels import apply_operator, check_variant, full_laplacian_weights
 from .functions import TreeFunction
 from .tree import TruncatedTree, Vertex
 
@@ -78,9 +77,7 @@ def op_binary(u: TreeFunction, x: Vertex) -> float:
 
 def op_kconvex(u: TreeFunction, x: Vertex, k: int) -> float:
     """min over k-element successor subsets of the subset average."""
-    m = u.tree.m
-    if not 2 <= k <= m:
-        raise ValueError(f"k must be in [2, m={m}], got {k}")
+    check_variant("kconvex", k, u.tree.m)
     s = _successor_values(u, x)
     part = np.partition(s, k - 1)
     return float(part[:k].sum() / k)
@@ -114,8 +111,7 @@ def eigenvalues_binary(u: TreeFunction, x: Vertex) -> list[float]:
 def eigenvalues_k(u: TreeFunction, x: Vertex, k: int) -> list[float]:
     """The C(m,k) k-subset-average terms (1/k) * sum u(x,j_i) - u(x)."""
     m = u.tree.m
-    if not 2 <= k <= m:
-        raise ValueError(f"k must be in [2, m={m}], got {k}")
+    check_variant("kconvex", k, m)
     s = _successor_values(u, x)
     ux = u.value_at(x)
     return [float(sum(s[i] for i in subset) / k - ux) for subset in combinations(range(m), k)]
@@ -188,12 +184,10 @@ def is_convex_operator(u: TreeFunction, tol: float = 1e-9) -> ConvexityCheck:
     return _operator_check(u, "convex", tol)
 
 
-@lru_cache(maxsize=1)
 def _segment_constraints(tree: TruncatedTree):
     """All interpolation constraints u(z) <= wx*u(x) + wy*u(y) for z strictly
     inside a minimal path [x, y], as flat-index/weight arrays: pairs x < y in
-    flat order, then z in path order from x.  Only the last tree's arrays are
-    cached (`maxsize=1`).
+    flat order, then z in path order from x.
 
     Distances are scaled by m^L to integers: a level-j edge has length
     m^(L-j), and a vertex at level l lies cum[l] = sum_{j<=l} m^(L-j) below
@@ -317,13 +311,11 @@ def _write_subtrees(m: int, hanging: tuple[np.ndarray, np.ndarray], scale_of: np
             row += count
 
 
-@lru_cache(maxsize=1)
 def _subtree_constraint_arrays(tree: TruncatedTree):
     """Padded (roots, endpoint flat indices, weight exponents) over every
     interior vertex in flat order, one row per binary subtree in the order
     `_write_subtrees` gives; an endpoint at k levels below the root has
-    weight 2^-k, and padding has endpoint 0 and exponent -1.  Only the last
-    tree's arrays are cached (`maxsize=1`).
+    weight 2^-k, and padding has endpoint 0 and exponent -1.
 
     The shapes below a vertex depend only on the relative depth, so each is
     built once on relative flat indices r and placed under a vertex with

@@ -39,9 +39,6 @@ class TreeFunction:
     def value_at(self, v: Vertex) -> float:
         return float(self.values[self.tree.flat_index(v)])
 
-    def __getitem__(self, v: Vertex) -> float:
-        return self.value_at(v)
-
     @property
     def leaf_values(self) -> np.ndarray:
         return self.values[self.tree.leaf_slice]

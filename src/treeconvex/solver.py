@@ -79,19 +79,6 @@ class ObstacleResult:
     report: SolveReport
 
 
-def _leaf_array(tree: TruncatedTree, leaf_values) -> np.ndarray:
-    if isinstance(leaf_values, TreeFunction):
-        if leaf_values.tree != tree:
-            raise ValueError("leaf data lives on a different tree")
-        return leaf_values.leaf_values.copy()
-    arr = np.asarray(leaf_values, dtype=np.float64).copy()
-    if arr.shape != (tree.leaf_count,):
-        raise ValueError(f"expected {tree.leaf_count} leaf values, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("leaf values must be finite")
-    return arr
-
-
 def _operator_levels(tree: TruncatedTree, values: np.ndarray, variant: str, k: int | None,
                      obstacle: np.ndarray | None = None):
     """(slice, operator values) of each interior level, clipped by the
@@ -131,9 +118,13 @@ def _defect(tree: TruncatedTree, values: np.ndarray, variant: str, k: int | None
 
 
 def _dirichlet_start(tree: TruncatedTree, leaf_values) -> np.ndarray:
-    """The start state of a Dirichlet solve: the leaves clamped to the data,
-    the interior at its sup."""
-    g = _leaf_array(tree, leaf_values)
+    """The start state of a Dirichlet solve: the leaves clamped to the data
+    (an array in leaf order), the interior at its sup."""
+    g = np.asarray(leaf_values, dtype=np.float64)
+    if g.shape != (tree.leaf_count,):
+        raise ValueError(f"expected {tree.leaf_count} leaf values, got shape {g.shape}")
+    if not np.isfinite(g).all():
+        raise ValueError("leaf values must be finite")
     values = np.empty(tree.vertex_count)
     values[tree.leaf_slice] = g
     values[tree.interior_slice] = g.max()
@@ -397,26 +388,23 @@ def solve_dirichlet(tree: TruncatedTree, leaf_values, cfg: SolveConfig) -> Solve
     return _solve(tree, _dirichlet_start(tree, leaf_values), cfg)
 
 
-def solve_obstacle(tree: TruncatedTree, obstacle: TreeFunction, cfg: SolveConfig) -> ObstacleResult:
-    """Largest function below the obstacle satisfying the operator inequality:
-    start at the obstacle and descend to the largest solution of
-    u = min(obstacle, operator(u)).  The coincidence mask marks vertices
-    where the envelope touches the obstacle (within cfg.tol); leaves are
-    clamped to the obstacle."""
+def solve_obstacle(obstacle: TreeFunction, cfg: SolveConfig) -> ObstacleResult:
+    """Largest function below the obstacle, on its tree, satisfying the
+    operator inequality: start at the obstacle and descend to the largest
+    solution of u = min(obstacle, operator(u)).  The coincidence mask marks
+    vertices where the envelope touches the obstacle (within cfg.tol); leaves
+    are clamped to the obstacle."""
     if cfg.variant not in ENVELOPE_VARIANTS:
         raise ValueError(f"variant {cfg.variant!r} is not an envelope equation")
-    check_variant(cfg.variant, cfg.k, tree.m)
-    if obstacle.tree != tree:
-        raise ValueError("obstacle lives on a different tree")
+    check_variant(cfg.variant, cfg.k, obstacle.tree.m)
     f = obstacle.values.copy()
-    report = _solve(tree, f.copy(), cfg, obstacle=f)
+    report = _solve(obstacle.tree, f.copy(), cfg, obstacle=f)
     mask = np.abs(report.solution.values - f) <= cfg.tol
     return ObstacleResult(envelope=report.solution, coincidence_mask=mask, report=report)
 
 
-def residual(tree: TruncatedTree, u: TreeFunction, variant: str, k: int | None = None) -> float:
-    """Sup-norm defect of the variant's equation over interior vertices."""
-    if u.tree != tree:
-        raise ValueError("function lives on a different tree")
-    check_variant(variant, k, tree.m)
-    return _defect(tree, u.values, variant, k)[0]
+def residual(u: TreeFunction, variant: str, k: int | None = None) -> float:
+    """Sup-norm defect of the variant's equation over the interior vertices
+    of u's tree."""
+    check_variant(variant, k, u.tree.m)
+    return _defect(u.tree, u.values, variant, k)[0]

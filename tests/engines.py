@@ -12,14 +12,14 @@ ENGINES = ("direct", "jacobi", "gs")
 
 
 def solve(engine, tree, cfg, leaves=None, obstacle=None):
-    """`solve_dirichlet(tree, leaves, cfg)`, or `solve_obstacle(tree,
-    obstacle, cfg)` when an obstacle is given, run by one engine: "direct" is
-    the public solve; "jacobi" and "gs" sweep from the same start state until
-    the change and the defect are within tol."""
+    """`solve_dirichlet(tree, leaves, cfg)`, or `solve_obstacle(obstacle, cfg)`
+    when an obstacle (on `tree`) is given, run by one engine: "direct" is the
+    public solve; "jacobi" and "gs" sweep from the same start state until the
+    change and the defect are within tol."""
     if engine == "direct":
         if obstacle is None:
             return solve_dirichlet(tree, leaves, cfg)
-        return solve_obstacle(tree, obstacle, cfg)
+        return solve_obstacle(obstacle, cfg)
     jacobi = {"jacobi": True, "gs": False}[engine]
     if obstacle is None:
         return _iterate(tree, _dirichlet_start(tree, leaves), cfg, jacobi=jacobi)

@@ -93,8 +93,8 @@ def test_criterion_1_reference_fixed_points():
                 b = reference_binary_indicator(tree, x0)
                 # The equations are positively homogeneous, so only the
                 # closed form's value at x0 pins the scale.
-                if u[x0] != (m - 1) / m or b[x0] != 1.0:
-                    failures.append((m, str(x0), "both", "value at x0", (u[x0], b[x0])))
+                if u.value_at(x0) != (m - 1) / m or b.value_at(x0) != 1.0:
+                    failures.append((m, str(x0), "both", "value at x0", (u.value_at(x0), b.value_at(x0))))
                 # At m = 2 the parent of x0 has one zero-valued successor
                 # beside x0, so its pair term is u(x0)/2 > 0; for the convex
                 # reference the predecessor branch still gives 0 below the root.
@@ -103,7 +103,7 @@ def test_criterion_1_reference_fixed_points():
                          ("binary", b, op_binary, x0.parent, 0.5)]
                 for variant, f, op_at, gap_at, gap in cases:
                     if m > 2:
-                        r = residual(tree, f, variant)
+                        r = residual(f, variant)
                         if r > 1e-12:
                             failures.append((m, str(x0), variant, "residual", r))
                         continue
@@ -111,7 +111,7 @@ def test_criterion_1_reference_fixed_points():
                     if defect.min() < -1e-12:
                         failures.append((m, str(x0), variant, "u > op", -defect.min()))
                     if gap_at is not None:
-                        exact = op_at(f, gap_at) - f[gap_at]
+                        exact = op_at(f, gap_at) - f.value_at(gap_at)
                         if exact == gap:
                             gaps[variant] += 1
                         else:
@@ -327,7 +327,7 @@ def test_criterion_6_obstacle_contract():
         interior = tree.interior_slice
         for i in range(n):
             f = TreeFunction.from_values(tree, rng.standard_normal(tree.vertex_count))
-            result = solve_obstacle(tree, f, cfg)
+            result = solve_obstacle(f, cfg)
             u = result.envelope.values
             count += 1
             label = f"m={m} d={depth} #{i}"
@@ -476,7 +476,7 @@ def test_criterion_11_definitional_envelope():
             f = scale * rng.uniform(-1, 1, tree.vertex_count)
             runs = [("dirichlet", start, solve_dirichlet(tree, g, cfg).solution.values),
                     ("obstacle", f, solve_obstacle(
-                        tree, TreeFunction.from_values(tree, f), cfg).envelope.values)]
+                        TreeFunction.from_values(tree, f), cfg).envelope.values)]
             for kind, data, solved in runs:
                 want, n = oracles.definitional_envelope(arrays, data)
                 key = (variant, kind)

@@ -58,6 +58,10 @@ class TestDatumFamilies:
             parse_datum("sine:1")
         with pytest.raises(ValueError, match="neither"):
             parse_datum("no-such-file.csv")
+        # one spelling per family
+        for spec in ("const:1", "abs_dev:0.5"):
+            with pytest.raises(ValueError, match="unknown datum"):
+                parse_datum(spec)
 
     def test_csv_loading_and_row_errors(self, tmp_path):
         good = tmp_path / "g.csv"
@@ -79,6 +83,15 @@ class TestDatumFamilies:
         non_numeric.write_text("t,g\n0,0\nmid,1\n1,0\n")
         with pytest.raises(ValueError, match="row 3"):
             load_datum_csv(str(non_numeric))
+
+        # a table too short for `_knot_error` is refused with its path too
+        for rows in ([], ["0,1"]):
+            short = tmp_path / f"short{len(rows)}.csv"
+            short.write_text("t,g\n" + "".join(f"{row}\n" for row in rows))
+            with pytest.raises(ValueError) as exc:
+                load_datum_csv(str(short))
+            assert str(exc.value) == (f"{short}: piecewise datum needs at least two knots, "
+                                      f"got {len(rows)}")
 
     @pytest.mark.parametrize("knots,number,reason", [
         ([(0.1, 0.0), (1.0, 1.0)], 1, "first t must be 0, got 0.1"),
@@ -107,8 +120,8 @@ class TestSampling:
     def test_constant_both_modes(self):
         tree = TruncatedTree(3, 3)
         g = BoundaryDatum.constant(1.25)
-        np.testing.assert_array_equal(sample_leaves(g, tree, "point"), 1.25)
-        np.testing.assert_array_equal(sample_leaves(g, tree, "inf_subsample", 8), 1.25)
+        np.testing.assert_array_equal(sample_leaves(g, tree), 1.25)
+        np.testing.assert_array_equal(sample_leaves(g, tree, 8), 1.25)
 
     def test_indicator_covers_subtree_leaves(self):
         tree = TruncatedTree(3, 4)
@@ -131,8 +144,8 @@ class TestSampling:
         knots = [(0.0, 0.0)] + [(t, float(rng.uniform(-1, 1)))
                                 for t in np.linspace(0.2, 0.8, 4)] + [(1.0, 0.0)]
         for g in (BoundaryDatum.abs_dev(0.3), BoundaryDatum.piecewise_linear(knots)):
-            point = sample_leaves(g, tree, "point")
-            inf = sample_leaves(g, tree, "inf_subsample", 16)
+            point = sample_leaves(g, tree)
+            inf = sample_leaves(g, tree, 16)
             assert np.all(inf <= point + 1e-15)
 
     def test_psi_values_exact(self):
@@ -144,18 +157,16 @@ class TestSampling:
     def test_mode_validation(self):
         tree = TruncatedTree(2, 2)
         g = BoundaryDatum.constant(0.0)
-        with pytest.raises(ValueError, match="mode"):
-            sample_leaves(g, tree, "supremum")
         with pytest.raises(ValueError, match="subsamples"):
-            sample_leaves(g, tree, "inf_subsample", 0)
+            sample_leaves(g, tree, 0)
 
     def test_subsample_budget(self):
         tree = TruncatedTree(2, 2)
         g = BoundaryDatum.constant(0.5)
         with pytest.raises(ValueError, match=f"{SUBSAMPLE_BUDGET + 1} subsamples exceed "
                                              f"the budget of {SUBSAMPLE_BUDGET} per leaf"):
-            sample_leaves(g, tree, "inf_subsample", SUBSAMPLE_BUDGET + 1)
-        leaves = sample_leaves(g, tree, "inf_subsample", SUBSAMPLE_BUDGET)
+            sample_leaves(g, tree, SUBSAMPLE_BUDGET + 1)
+        leaves = sample_leaves(g, tree, SUBSAMPLE_BUDGET)
         np.testing.assert_array_equal(leaves, 0.5)
 
     def test_inf_mode_peak_does_not_grow_with_subsamples(self):
@@ -167,7 +178,7 @@ class TestSampling:
         for n in (255, 4095):
             tracemalloc.start()
             try:
-                sample_leaves(g, tree, "inf_subsample", n)
+                sample_leaves(g, tree, n)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

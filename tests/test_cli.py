@@ -286,6 +286,62 @@ class TestSolve:
             assert "65537 subsamples exceed the budget of 65536 per leaf" in err
 
 
+SOLVE = ["solve", "--m", "2", "--depth", "3", "--datum", "power:2"]
+CONVERGE = ["converge", "--m", "2", "--datum", "power:2", "--depths", "3,4"]
+DATUM_FILES = {"empty.csv": "", "wide.csv": "t,g\n0,1,2\n1,0\n",
+               "one.csv": "t,g\n0,1\n", "header.csv": "t,g\n"}
+KINDS = "expected constant:c, affine:a,b, power:p, absdev:c, indicator:lo,hi, or a CSV file path"
+
+
+class TestInputErrors:
+    """Each refusal exits 2 with its message; a later flag overrides the base
+    command's, and DIR stands for the directory of the datum files."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (SOLVE + ["--sampling", "inf:x"], "malformed sampling spec 'inf:x'"),
+        (SOLVE + ["--sampling", "foo"], "sampling must be 'point' or 'inf:N', got 'foo'"),
+        (SOLVE + ["--sampling", "inf"], "sampling must be 'point' or 'inf:N', got 'inf'"),
+        (SOLVE + ["--datum", "power:x"], "malformed datum arguments in 'power:x'"),
+        (SOLVE + ["--datum", "const:1"], f"unknown datum spec 'const:1'; {KINDS}"),
+        (SOLVE + ["--datum", "abs_dev:0.5"], f"unknown datum spec 'abs_dev:0.5'; {KINDS}"),
+        (SOLVE + ["--datum", "DIR/empty.csv"], "DIR/empty.csv: empty datum file"),
+        (SOLVE + ["--datum", "DIR/wide.csv"], "DIR/wide.csv: row 2: expected 2 columns, got 3"),
+        (SOLVE + ["--datum", "DIR/one.csv"],
+         "DIR/one.csv: piecewise datum needs at least two knots, got 1"),
+        (SOLVE + ["--datum", "DIR/header.csv"],
+         "DIR/header.csv: piecewise datum needs at least two knots, got 0"),
+        (CONVERGE + ["--depths", "0,3"], "depth must be >= 1, got 0"),
+        (CONVERGE + ["--depths", "3,,4"], "malformed depths '3,,4'"),
+        (CONVERGE + ["--datum", "DIR/one.csv"],
+         "DIR/one.csv: piecewise datum needs at least two knots, got 1"),
+    ], ids=["inf-x", "foo", "inf-alias", "power-x", "const-alias", "abs_dev-alias",
+            "empty-datum", "wide-datum", "one-knot", "no-knot", "depth-0", "empty-depth",
+            "converge-one-knot"])
+    def test_refused_with_message(self, tmp_path, capsys, argv, message):
+        for name, text in DATUM_FILES.items():
+            (tmp_path / name).write_text(text)
+        argv = [a.replace("DIR", str(tmp_path)) for a in argv]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: {message.replace('DIR', str(tmp_path))}\n"
+
+    def test_budget_variable_must_be_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("TREECONVEX_BUDGET", "abc")
+        assert run(*SOLVE) == 2
+        assert capsys.readouterr().err == "error: TREECONVEX_BUDGET must be an integer, got 'abc'\n"
+
+    def test_obstacle_offers_only_envelope_variants(self, tmp_path, capsys):
+        fn = tmp_path / "f.csv"
+        write_function(fn, TruncatedTree(2, 2), np.zeros(7))
+        with pytest.raises(SystemExit) as exc:
+            run("obstacle", "--m", "2", "--depth", "2", "--obstacle", str(fn),
+                "--variant", "laplacian-full")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'laplacian-full'" in err
+        choices = err.split("choose from")[1]
+        assert "kconvex" in choices and "laplacian" not in choices
+
+
 class TestCheck:
     def test_constant_function_all_true(self, tmp_path):
         tree = TruncatedTree(2, 3)
@@ -335,6 +391,17 @@ class TestCheck:
             assert run("check", "--m", "2", "--depth", "2", "--function", str(fn),
                        "--tol", tol) == 2
             assert "tol must be finite and non-negative" in capsys.readouterr().err
+
+    def test_payload_to_stdout_without_out_json(self, tmp_path, capsys):
+        tree = TruncatedTree(2, 2)
+        fn = tmp_path / "f.csv"
+        write_function(fn, tree, np.ones(tree.vertex_count))
+        out_json = tmp_path / "checks.json"
+        assert run("check", "--m", "2", "--depth", "2", "--function", str(fn),
+                   "--out-json", str(out_json)) == 0
+        capsys.readouterr()
+        assert run("check", "--m", "2", "--depth", "2", "--function", str(fn)) == 0
+        assert capsys.readouterr().out == out_json.read_text()
 
     def test_budget_skip_marked(self, tmp_path):
         tree = TruncatedTree(3, 4)
@@ -507,7 +574,7 @@ class TestArtifactBytes:
         f[::7] = np.round(f[::7])  # signed zeros and integers among the data
         obstacle = tmp_path / "f.csv"
         write_function(obstacle, tree, f)
-        result = solve_obstacle(tree, TreeFunction.from_values(tree, f), cfg)
+        result = solve_obstacle(TreeFunction.from_values(tree, f), cfg)
         assert run("obstacle", "--m", str(m), "--depth", str(depth), "--obstacle", str(obstacle),
                    "--out-csv", str(csv_path), "--out-dot", str(dot_path)) == 0
         envelope = result.envelope.values
@@ -619,6 +686,13 @@ class TestConverge:
         err = capsys.readouterr().err
         assert "depth 20000 exceeds the study budget (m^depth > 16777216 leaves)" in err
         assert "integer string conversion" not in err
+
+    def test_non_convergence_exit_code(self, tmp_path, capsys):
+        out_csv = tmp_path / "series.csv"
+        assert run("converge", "--m", "2", "--datum", "absdev:0.5", "--depths", "3,4",
+                   "--max-iter", "1", "--out-csv", str(out_csv)) == 3
+        assert capsys.readouterr().err == "did not converge at depths [3, 4]\n"
+        assert out_csv.read_text().startswith("depth,root_value,delta\n3,")
 
     def test_worst_vertices(self, tmp_path):
         # each depth's worst-defect vertex, as the solve at that depth reports it

@@ -109,7 +109,7 @@ class TestOperators:
         x0 = Vertex(3, (1,))
         u = reference_convex_indicator(tree, x0)
         assert op_convex(u, x0) == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert u[x0] == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert u.value_at(x0) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_op_binary_examples(self):
         tree = TruncatedTree(3, 1)
@@ -136,7 +136,7 @@ class TestOperators:
             for x in interior_vertices(tree):
                 assert op_kconvex(u, x, 2) == op_binary(u, x)
                 assert op_kconvex(u, x, 4) == pytest.approx(
-                    float(np.mean([u[c] for c in children(x)])), abs=1e-14)
+                    float(np.mean([u.value_at(c) for c in children(x)])), abs=1e-14)
 
     def test_leaf_rejected(self):
         tree = TruncatedTree(2, 2)
@@ -147,13 +147,17 @@ class TestOperators:
                 fn(u, leaf)
         with pytest.raises(ValueError, match="leaf"):
             op_kconvex(u, leaf, 2)
+        with pytest.raises(ValueError, match=r"^level 2 is not interior \(depth 2\)$"):
+            level_operator(tree, u.values, tree.depth, "convex")
 
     def test_k_out_of_range(self):
         tree = TruncatedTree(3, 1)
         u = TreeFunction.zeros(tree)
         for k in (1, 4):
-            with pytest.raises(ValueError, match="k must be"):
-                op_kconvex(u, Vertex(3, ()), k)
+            for fn in (op_kconvex, eigenvalues_k):
+                with pytest.raises(ValueError) as exc:
+                    fn(u, Vertex(3, ()), k)
+                assert str(exc.value) == f"k must be in [2, m=3], got {k}"
 
 
 def exact_eigen_sum_convex(m, up, ux, succ):
@@ -193,7 +197,7 @@ class TestEigenvalues:
                 for x in interior_vertices(tree):
                     if x.is_root:
                         continue
-                    gap = op_convex(u, x) - u[x]
+                    gap = op_convex(u, x) - u.value_at(x)
                     assert min(eigenvalues_convex(u, x)) == pytest.approx(gap, abs=1e-12)
 
     def test_sum_identities_exact_rational(self):
@@ -272,9 +276,9 @@ class TestReferences:
     def test_convex_indicator_values(self):
         tree = TruncatedTree(3, 4)
         u = reference_convex_indicator(tree, Vertex(3, (1,)))
-        assert u[Vertex(3, (1,))] == pytest.approx(2 / 3, abs=1e-15)
-        assert u[Vertex(3, (1, 0))] == pytest.approx(8 / 9, abs=1e-15)
-        assert u[Vertex(3, (0,))] == 0.0
+        assert u.value_at(Vertex(3, (1,))) == pytest.approx(2 / 3, abs=1e-15)
+        assert u.value_at(Vertex(3, (1, 0))) == pytest.approx(8 / 9, abs=1e-15)
+        assert u.value_at(Vertex(3, (0,))) == 0.0
 
     def test_convex_indicator_closed_form_and_limit(self):
         # the level sums telescope: value at relative depth j is 1 - m^-(j+1)
@@ -285,8 +289,8 @@ class TestReferences:
             v = x0
             branch_values = []
             for j in range(tree.depth - x0.level + 1):
-                assert u[v] == float(1 - Fraction(1, m ** (j + 1)))
-                branch_values.append(u[v])
+                assert u.value_at(v) == float(1 - Fraction(1, m ** (j + 1)))
+                branch_values.append(u.value_at(v))
                 v = children(v)[0]
             # strictly increasing toward 1 down any branch inside the subtree
             assert all(a < b < 1.0 for a, b in zip(branch_values, branch_values[1:]))
@@ -302,8 +306,8 @@ class TestReferences:
     def test_reference_equalities_for_wide_trees(self, m):
         tree = TruncatedTree(m, 4)
         for x0 in [Vertex(m, (1,)), Vertex(m, (0, 1)), Vertex(m, (m - 1, 0, 1))]:
-            assert residual(tree, reference_convex_indicator(tree, x0), "convex") <= 1e-12
-            assert residual(tree, reference_binary_indicator(tree, x0), "binary") <= 1e-12
+            assert residual(reference_convex_indicator(tree, x0), "convex") <= 1e-12
+            assert residual(reference_binary_indicator(tree, x0), "binary") <= 1e-12
 
     def test_reference_equality_gaps_at_m2(self):
         # for m = 2 the equation holds with equality everywhere except:
@@ -313,23 +317,23 @@ class TestReferences:
         tree = TruncatedTree(2, 5)
         u = reference_convex_indicator(tree, Vertex(2, (1,)))
         assert op_convex(u, Vertex(2, ())) == 0.25
-        assert residual(tree, u, "convex") == 0.25
+        assert residual(u, "convex") == 0.25
         assert is_convex_operator(u).ok
 
         u2 = reference_convex_indicator(tree, Vertex(2, (1, 0)))
-        assert residual(tree, u2, "convex") <= 1e-15
+        assert residual(u2, "convex") <= 1e-15
 
         b = reference_binary_indicator(tree, Vertex(2, (1, 0)))
         assert op_binary(b, Vertex(2, (1,))) == 0.5
-        assert residual(tree, b, "binary") == 0.5
+        assert residual(b, "binary") == 0.5
         assert is_binary_convex(b).ok
 
     def test_binary_indicator_values_and_convex_violation(self):
         tree = TruncatedTree(3, 3)
         x0 = Vertex(3, (1,))
         u = reference_binary_indicator(tree, x0)
-        assert u[x0] == 1.0
-        assert u[Vertex(3, (0,))] == 0.0
+        assert u.value_at(x0) == 1.0
+        assert u.value_at(Vertex(3, (0,))) == 0.0
         assert is_binary_convex(u, mode="operator").ok
         assert is_binary_convex(u, mode="subtrees").ok
         # not convex: at x0 the predecessor branch gives m/(m+1) < 1
@@ -347,6 +351,12 @@ class TestPredicates:
         assert is_convex_segment(u).ok
         assert is_binary_convex(u, mode="operator").ok
         assert is_binary_convex(u, mode="subtrees").ok
+
+    def test_unknown_binary_mode_refused(self):
+        u = TreeFunction.constant(TruncatedTree(2, 2), 1.0)
+        with pytest.raises(ValueError) as exc:
+            is_binary_convex(u, mode="x")
+        assert str(exc.value) == "mode must be 'operator' or 'subtrees', got 'x'"
 
     def test_tol_must_be_finite_and_non_negative(self):
         u = TreeFunction.constant(TruncatedTree(2, 2), 1.0)
@@ -511,9 +521,9 @@ class TestBinarySubtrees:
         # evaluating per subtree and via the vectorized matrix must agree
         for x in [(), (1,)]:
             subs = oracles.binary_subtrees(2, x, tree.depth - len(x))
-            worst = min(sum(float(w) * u[Vertex(2, y)] for w, y in zip(weights(x, ends), ends))
+            worst = min(sum(float(w) * u.value_at(Vertex(2, y)) for w, y in zip(weights(x, ends), ends))
                         for ends in subs)
-            violated_here = u[Vertex(2, x)] > worst + 1e-9
+            violated_here = u.value_at(Vertex(2, x)) > worst + 1e-9
             assert violated_here == (Vertex(2, x) in check.violations)
 
 

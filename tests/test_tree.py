@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeconvex import TruncatedTree, Vertex, psi, reference_binary_indicator
+from treeconvex import TreeFunction, TruncatedTree, Vertex, psi, reference_binary_indicator
 
 import oracles
 
@@ -166,7 +166,7 @@ class TestIntervals:
             lo, hi = psi(x0), psi(x0) + Fraction(1, m**x0.level)
             for v in oracles.vertices(tree):
                 in_interval = lo <= psi(v) and psi(v) + Fraction(1, m**v.level) <= hi
-                assert inside[v] == float(v.level >= x0.level and in_interval)
+                assert inside.value_at(v) == float(v.level >= x0.level and in_interval)
 
     def test_nesting_and_tiling(self):
         # the children's base-m intervals [psi, psi + m^-level] tile the parent's
@@ -212,6 +212,25 @@ class TestTruncatedTree:
             TruncatedTree(1, 3)
         with pytest.raises(ValueError):
             TruncatedTree(2, 0)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda t: t.vertex_at(-1), "flat index -1 out of range"),
+        (lambda t: t.vertex_at(15), "flat index 15 out of range"),
+        (lambda t: Vertex.from_level_index(2, 1, 2), "index 2 out of range for level 1"),
+        (lambda t: Vertex.from_level_index(2, -1, 0), "index 0 out of range for level -1"),
+        (lambda t: t.level_size(4), "level 4 outside [0, 3]"),
+        (lambda t: t.level_size(-1), "level -1 outside [0, 3]"),
+        (lambda t: t.level_offset(5), "level 5 outside [0, 4]"),
+        (lambda t: TreeFunction.from_values(t, np.zeros(14)),
+         "expected 15 values for m=2, depth=3, got shape (14,)"),
+        (lambda t: TreeFunction.from_values(t, np.full(15, np.inf)),
+         "tree function values must be finite"),
+    ], ids=["flat-low", "flat-high", "index", "level", "size-high", "size-low", "offset",
+            "values-shape", "values-finite"])
+    def test_out_of_range_refused(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call(TruncatedTree(2, 3))
+        assert str(exc.value) == message
 
     def test_vertex_budget(self, monkeypatch):
         with pytest.raises(ValueError, match="budget"):
