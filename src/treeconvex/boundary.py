@@ -106,12 +106,21 @@ def _knot_error(pts) -> tuple[int, str] | None:
     return None
 
 
+def csv_rows(path: str, reader):
+    """The rows of a csv reader; a row the csv module refuses, such as a
+    cell longer than `csv.field_size_limit()`, raises a ValueError naming
+    its file line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc
+
+
 def load_datum_csv(path: str) -> BoundaryDatum:
     """Piecewise-linear datum file: header "t,g", strictly increasing t,
     first t = 0, last t = 1."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = list(csv_rows(path, csv.reader(fh)))
     if not rows:
         raise ValueError(f"{path}: empty datum file")
     header = [c.strip() for c in rows[0]]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from ._kernels import ENVELOPE_VARIANTS
-from .boundary import convergence_study, leaf_psi_values, parse_datum, sample_leaves
+from .boundary import convergence_study, csv_rows, leaf_psi_values, parse_datum, sample_leaves
 from .convexity import is_binary_convex, is_convex_operator, is_convex_segment
 from .functions import TreeFunction
 from .solver import SolveConfig, solve_dirichlet, solve_obstacle
@@ -118,39 +119,48 @@ def read_function_csv(path: str, tree: TruncatedTree) -> TreeFunction:
     A file whose vertex column is `tree.labels()` in flat order, with a
     finite number in every value cell, is read by column with NumPy's
     tokenizer.  Every other file is read row by row, which gives the same
-    values and is the one source of every error message."""
-    with open(path, newline="") as fh:
-        header = next(_csv_rows(path, csv.reader(fh)), None)
+    values and is the one source of every error message.  The file is read
+    once, so a pipe serves as well as a file on disk."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with _text(data) as fh:
+        header = next(csv_rows(path, csv.reader(fh)), None)
     if header is None or not {"vertex", "value"} <= set(header):
         raise ValueError(f"{path}: expected columns 'vertex' and 'value'")
     for column in ("vertex", "value"):
         if header.count(column) > 1:
             raise ValueError(f"{path}: duplicate column {column!r}")
     cells = {"vertex": header.index("vertex"), "value": header.index("value")}
-    values = _read_columns(path, tree, cells)
+    values = _read_columns(data, tree, cells)
     if values is None:
-        values = _read_rows(path, tree, cells)
+        values = _read_rows(data, path, tree, cells)
     return TreeFunction.from_values(tree, values)
 
 
-def _read_columns(path: str, tree: TruncatedTree, cells: dict[str, int]) -> np.ndarray | None:
+def _text(data: bytes) -> io.TextIOWrapper:
+    """A text stream over `data`, decoded as `open(path, newline="")` decodes
+    the file."""
+    return io.TextIOWrapper(io.BytesIO(data), newline="")
+
+
+def _read_columns(data: bytes, tree: TruncatedTree, cells: dict[str, int]) -> np.ndarray | None:
     """The values of a canonical file, or None when the file is not
     canonical or a cell does not parse.  Each column is tokenized in a pass
     of its own, so only one column's cells are held at a time."""
     try:
-        if _column(path, cells["vertex"]).tolist() != _labels(tree):
+        if _column(data, cells["vertex"]).tolist() != _labels(tree):
             return None
         # an object-to-float cast calls float() on each cell
-        values = _column(path, cells["value"]).astype(np.float64)
+        values = _column(data, cells["value"]).astype(np.float64)
     except ValueError:
         return None
     return values if np.isfinite(values).all() else None
 
 
-def _column(path: str, cell: int) -> np.ndarray:
+def _column(data: bytes, cell: int) -> np.ndarray:
     """The cells of one column below the header, each the str that the csv
     module reads (dtype=str would drop trailing NUL characters)."""
-    with open(path, newline="") as fh, warnings.catch_warnings():
+    with _text(data) as fh, warnings.catch_warnings():
         # blank lines and a file without rows warn; the row scan reads both
         warnings.simplefilter("ignore", UserWarning)
         next(csv.reader(fh))
@@ -158,25 +168,15 @@ def _column(path: str, cell: int) -> np.ndarray:
                           usecols=cell, ndmin=1)
 
 
-def _csv_rows(path: str, reader):
-    """The rows of a csv reader; a row the csv module refuses, such as a
-    cell longer than `csv.field_size_limit()`, raises a ValueError naming
-    its file line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc
-
-
-def _read_rows(path: str, tree: TruncatedTree, cells: dict[str, int]) -> np.ndarray:
+def _read_rows(data: bytes, path: str, tree: TruncatedTree, cells: dict[str, int]) -> np.ndarray:
     """The values of any function CSV, one row at a time, with the error
     message and file line of the first row that is refused."""
     flat_of = {label: flat for flat, label in enumerate(_labels(tree))}
     values = np.zeros(tree.vertex_count)
     seen = bytearray(tree.vertex_count)
-    with open(path, newline="") as fh:
+    with _text(data) as fh:
         reader = csv.reader(fh)
-        rows = _csv_rows(path, reader)
+        rows = csv_rows(path, reader)
         next(rows)
         for row in rows:
             if not row:
@@ -398,6 +398,13 @@ def _add_common(parser: argparse.ArgumentParser, need_depth: bool = True,
     parser.add_argument("--max-iter", type=int, default=1_000_000)
 
 
+def _add_datum(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--datum", required=True,
+                        help="constant:c | affine:a,b | power:p | absdev:c | "
+                             "indicator:lo,hi | piecewise CSV path")
+    parser.add_argument("--sampling", default="point", help="point | inf:N")
+
+
 def _add_outputs(parser: argparse.ArgumentParser, dot: bool = True) -> None:
     parser.add_argument("--out-csv", default=None)
     parser.add_argument("--out-json", default=None)
@@ -414,10 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a Dirichlet problem from a boundary datum")
     _add_common(p_solve)
-    p_solve.add_argument("--datum", required=True,
-                         help="constant:c | affine:a,b | power:p | absdev:c | "
-                              "indicator:lo,hi | piecewise CSV path")
-    p_solve.add_argument("--sampling", default="point", help="point | inf:N")
+    _add_datum(p_solve)
     _add_outputs(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -437,8 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("converge", help="root-value depth-convergence study")
     _add_common(p_conv, need_depth=False)
-    p_conv.add_argument("--datum", required=True)
-    p_conv.add_argument("--sampling", default="point")
+    _add_datum(p_conv)
     p_conv.add_argument("--depths", required=True, help="comma-separated increasing depths")
     _add_outputs(p_conv, dot=False)
     p_conv.set_defaults(func=cmd_converge)

@@ -8,10 +8,10 @@ Two routes to every convexity notion are kept deliberately separate:
   segments, or finite binary subtrees with their endpoint weights).
 
 The brute-force predicates are quadratic or worse and refuse inputs above a
-fixed desk-scale budget instead of silently running forever.  Their
-constraint arrays are built in closed form with NumPy; `tests/oracles.py`
-rebuilds them from the definitions on digit tuples, with exact distances, as
-the test reference.
+fixed desk-scale budget instead of silently running forever.  The segment
+constraints are built in closed form with NumPy, and the subtree averages
+level by level from the leaves up; `tests/oracles.py` rebuilds both from the
+definitions on digit tuples, with exact distances, as the test reference.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ from .tree import TruncatedTree, Vertex
 # Measured on a 2-vCPU x86 VM with NumPy 2.4.  A segment constraint stores
 # 40 B (three int64 indices, two float64 weights) and its build peaks at about
 # 125 B; at the edge, m=2 depth 8 (511 vertices), 1,448,703 constraints take
-# 58 MB and build in 0.15 s.  A subtree row stores an int64 root plus 5 B per
-# endpoint column (int32 index, int8 exponent), and the build peaks at that;
-# the widest admitted rows are m=2 depth 5 with 32 columns: 459,829 rows of
-# 168 B, 77 MB, built in 0.04 s.
+# 58 MB and build in 0.15 s.  A binary subtree is one float64 average, and
+# only one level's averages are held at a time: the subtree check peaks at
+# about 17 B per subtree (the averages, one temporary of the same size and a
+# bool each).  At the edge, m=2 depth 5 checks 459,829 subtrees, 458,329 of
+# them at the root, in 8 ms with a 7.8 MB peak.
 SEGMENT_VERTEX_BUDGET = 512
 SUBTREE_ENUMERATION_BUDGET = 1_000_000
-_CHUNK_ENTRIES = 1 << 20  # endpoints gathered at a time by the subtree check
 
 
 # ---------------------------------------------------------------------------
@@ -274,84 +274,35 @@ def _count_text(n: int) -> str:
 
 
 def _subtree_row_count(tree: TruncatedTree) -> int:
-    """Rows of `_subtree_constraint_arrays`, in closed form, before any build;
-    at most `_count_cap()`, which any count that would be built stays below."""
+    """The number of binary subtrees of all interior vertices, in closed form,
+    before any build; at most `_count_cap()`, which any count that would be
+    built stays below."""
     cap = _count_cap()
     total = sum(tree.level_size(lv) * _subtree_count(tree.m, tree.depth - lv, cap)
                 for lv in range(tree.depth))
     return total if cap is None else min(total, cap)
 
 
-def _write_subtrees(m: int, hanging: tuple[np.ndarray, np.ndarray], scale_of: np.ndarray,
-                    rel: np.ndarray, flat: np.ndarray) -> None:
-    """Write the binary subtrees rooted at one vertex into the padded rows
-    `rel` (endpoint level below the root; -1 pads) and `flat` (endpoint flat
-    index in the subtree of the root taken as a tree of its own).  Rows run
-    over the successor pairs (i, j) in lexicographic order, then over the
-    shape hanging at i, then over the shape hanging at j; a row lists the
-    endpoints of the shape at i, then those of the shape at j.  `hanging`
-    holds the same arrays for the shapes hanging at one child: the child
-    alone, then its subtrees; `scale_of[k]` is m^k, and `scale_of[-1]` is 0."""
-    h_rel, h_flat = hanging
-    count, width = h_rel.shape
-    lengths = (h_rel >= 0).sum(axis=1)
-    scale = scale_of[h_rel]
-    # seen from the parent, a hanging shape is one level deeper, and the
-    # subtree of child c starts at relative flat index 1 + c
-    deeper = np.where(h_rel >= 0, h_rel + 1, -1).astype(np.int8)
-    row = 0
-    for i, j in combinations(range(m), 2):
-        left, right = (i + 1) * scale + h_flat, (j + 1) * scale + h_flat
-        for a in range(count):
-            rows = slice(row, row + count)
-            rel[rows, :width] = deeper[a]
-            rel[rows, lengths[a] : lengths[a] + width] = deeper
-            flat[rows, :width] = left[a]
-            flat[rows, lengths[a] : lengths[a] + width] = right
-            row += count
+def _subtree_averages(tree: TruncatedTree, values: np.ndarray):
+    """From the leaves up, (slice, averages) for each interior level: row x of
+    `averages` holds the endpoint average of every binary subtree rooted at
+    x, an endpoint k levels below x weighing 2^-k.
 
-
-def _subtree_constraint_arrays(tree: TruncatedTree):
-    """Padded (roots, endpoint flat indices, weight exponents) over every
-    interior vertex in flat order, one row per binary subtree in the order
-    `_write_subtrees` gives; an endpoint at k levels below the root has
-    weight 2^-k, and padding has endpoint 0 and exponent -1.
-
-    The shapes below a vertex depend only on the relative depth, so each is
-    built once on relative flat indices r and placed under a vertex with
-    flat index f at f * m^k + r (offsets satisfy off(l+k) = m^k off(l) + off(k))."""
-    m, depth = tree.m, tree.depth
-    total = _subtree_row_count(tree)
-    roots = np.empty(total, dtype=np.int64)
-    flat = np.zeros((total, 2**depth), dtype=np.int32)  # int32: the budget bounds the tree
-    rel = np.full((total, 2**depth), -1, dtype=np.int8)
-    scale_of = np.append(m ** np.arange(depth + 1), 0).astype(np.int32)  # [-1] pads
-    hanging = [(np.zeros((1, 1), np.int8), np.zeros((1, 1), np.int32))]
-    for r in range(1, depth):
-        count = 1 + _subtree_count(m, r)
-        h_rel = np.full((count, 2**r), -1, dtype=np.int8)
-        h_flat = np.zeros((count, 2**r), dtype=np.int32)
-        h_rel[0, 0] = 0
-        _write_subtrees(m, hanging[-1], scale_of, h_rel[1:], h_flat[1:])
-        hanging.append((h_rel, h_flat))
-    start = 0
-    for level in range(depth):
-        r = depth - level
-        n, count = tree.level_size(level), _subtree_count(m, r)
-        block = slice(start, start + n * count)
-        start += n * count
-        vertices = np.arange(tree.level_offset(level), tree.level_offset(level) + n, dtype=np.int32)
-        roots[block] = np.repeat(vertices, count)
-        b_rel = rel[block].reshape(n, count, -1)[:, :, : 2**r]
-        b_flat = flat[block].reshape(n, count, -1)[:, :, : 2**r]
-        _write_subtrees(m, hanging[r - 1], scale_of, b_rel[0], b_flat[0])
-        if level:
-            scale = scale_of[b_rel[0]]
-            b_rel[1:] = b_rel[0]
-            np.multiply(vertices[1:, None, None], scale, out=b_flat[1:])
-            b_flat[1:] += b_flat[0]
-            b_flat[0] += vertices[0] * scale
-    return roots, flat, rel
+    A shape hanging at y is y alone or a binary subtree rooted at y; a
+    subtree rooted at x is a successor pair i < j with a shape hanging at
+    each, so its average is the mean of the two shapes' averages.  Columns
+    run over the pairs in lexicographic order, then over the shape at i, then
+    over the shape at j, each vertex alone before its subtrees."""
+    m = tree.m
+    shapes = values[tree.leaf_slice][:, None]
+    for level in range(tree.depth - 1, -1, -1):
+        rows = tree.level_slice(level)
+        h = shapes.reshape(tree.level_size(level), m, -1)
+        averages = np.concatenate(
+            [((h[:, i, :, None] + h[:, j, None, :]) / 2).reshape(len(h), -1)
+             for i, j in combinations(range(m), 2)], axis=1)
+        yield rows, averages
+        shapes = np.concatenate([values[rows, None], averages], axis=1)
 
 
 def is_binary_convex(u: TreeFunction, tol: float = 1e-9, mode: str = "operator") -> ConvexityCheck:
@@ -370,18 +321,13 @@ def is_binary_convex(u: TreeFunction, tol: float = 1e-9, mode: str = "operator")
             ok=None, checked=0,
             skipped=f"budget: {_count_text(total)} binary subtrees "
                     f"exceed {SUBTREE_ENUMERATION_BUDGET}")
-    roots, endpoints, exponents = _subtree_constraint_arrays(tree)
-    weight_of = np.append(np.ldexp(1.0, -np.arange(tree.depth + 1)), 0.0)  # [-1] pads
     vals = u.values
-    bad = np.empty(total, dtype=bool)
-    step = _CHUNK_ENTRIES // endpoints.shape[1]
-    for lo in range(0, total, step):
-        rows = slice(lo, lo + step)
-        # each row is summed over the full padded width, so the averages do
-        # not depend on the chunking, bit for bit
-        averages = (weight_of[exponents[rows]] * vals[endpoints[rows]]).sum(axis=1)
-        bad[rows] = vals[roots[rows]] > averages + tol
-    return _verdict(tree, list(dict.fromkeys(roots[bad].tolist())), total)
+    flat = []
+    for rows, averages in _subtree_averages(tree, vals):
+        bad = (vals[rows, None] > averages + tol).any(axis=1)
+        # levels come from the leaves up: each goes before those found so far
+        flat[:0] = (rows.start + np.flatnonzero(bad)).tolist()
+    return _verdict(tree, flat, total)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import os
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -289,7 +292,9 @@ class TestSolve:
 SOLVE = ["solve", "--m", "2", "--depth", "3", "--datum", "power:2"]
 CONVERGE = ["converge", "--m", "2", "--datum", "power:2", "--depths", "3,4"]
 DATUM_FILES = {"empty.csv": "", "wide.csv": "t,g\n0,1,2\n1,0\n",
-               "one.csv": "t,g\n0,1\n", "header.csv": "t,g\n"}
+               "one.csv": "t,g\n0,1\n", "header.csv": "t,g\n",
+               # a cell over the csv module's field limit was an uncaught csv.Error
+               "big.csv": f"t,g\n0,{'1' * max(140_000, csv.field_size_limit() + 1)}\n1,2\n"}
 KINDS = "expected constant:c, affine:a,b, power:p, absdev:c, indicator:lo,hi, or a CSV file path"
 
 
@@ -310,13 +315,15 @@ class TestInputErrors:
          "DIR/one.csv: piecewise datum needs at least two knots, got 1"),
         (SOLVE + ["--datum", "DIR/header.csv"],
          "DIR/header.csv: piecewise datum needs at least two knots, got 0"),
+        (SOLVE + ["--datum", "DIR/big.csv"],
+         f"DIR/big.csv: row 2: field larger than field limit ({csv.field_size_limit()})"),
         (CONVERGE + ["--depths", "0,3"], "depth must be >= 1, got 0"),
         (CONVERGE + ["--depths", "3,,4"], "malformed depths '3,,4'"),
         (CONVERGE + ["--datum", "DIR/one.csv"],
          "DIR/one.csv: piecewise datum needs at least two knots, got 1"),
     ], ids=["inf-x", "foo", "inf-alias", "power-x", "const-alias", "abs_dev-alias",
-            "empty-datum", "wide-datum", "one-knot", "no-knot", "depth-0", "empty-depth",
-            "converge-one-knot"])
+            "empty-datum", "wide-datum", "one-knot", "no-knot", "big-datum-cell", "depth-0",
+            "empty-depth", "converge-one-knot"])
     def test_refused_with_message(self, tmp_path, capsys, argv, message):
         for name, text in DATUM_FILES.items():
             (tmp_path / name).write_text(text)
@@ -466,8 +473,6 @@ class TestCheck:
     def test_oversized_cell_is_input_error(self, tmp_path, capsys, command):
         # a cell longer than the csv module's field limit was an uncaught
         # csv.Error (a traceback and exit 1); it names its row and exits 2
-        import csv
-
         tree = TruncatedTree(2, 2)
         long = "0." + "0" * max(140_000, csv.field_size_limit()) + "1"
         rows = [f"{v},0" for v in oracles.vertices(tree)]
@@ -601,6 +606,26 @@ class TestReader:
         assert got == read_outcome(oracles.read_function_csv, path, tree)
         if by_column is not None:
             assert (not scanned) == by_column
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="opens a pipe through /dev/fd")
+    @pytest.mark.parametrize("name", ["canonical m=2", "label 00"])
+    def test_pipe_reads_like_a_file(self, tmp_path, name):
+        # a shell's `<(cat f.csv)` names a pipe, which yields its bytes once:
+        # a reader that opened its path again would read nothing the second time
+        _, m, depth, text, _ = next(case for case in READER_CORPUS if case[0] == name)
+        tree = TruncatedTree(m, depth)
+        data = text.encode()
+        assert len(data) < 65536  # the pipe holds all of it before anything reads
+        path = tmp_path / "f.csv"
+        path.write_bytes(data)
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            got = read_outcome(read_function_csv, f"/dev/fd/{r}", tree)
+        finally:
+            os.close(r)
+        assert got == read_outcome(read_function_csv, path, tree)
 
     @given(st.data())
     @settings(max_examples=300, derandomize=True, deadline=None)

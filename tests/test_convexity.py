@@ -36,7 +36,7 @@ from treeconvex import (
 from treeconvex._kernels import level_operator
 from treeconvex.convexity import (
     _segment_constraints,
-    _subtree_constraint_arrays,
+    _subtree_averages,
     _subtree_count,
 )
 
@@ -542,19 +542,6 @@ oracle_segments = lru_cache(maxsize=None)(oracles.segment_constraints)
 oracle_subtrees = lru_cache(maxsize=None)(oracles.subtree_constraints)
 
 
-def subtree_arrays(tree, from_level=0):
-    """The cached builder's rows rooted at `from_level` or below (rows run
-    level by level), cut to their widest row, with the weight exponents
-    applied."""
-    roots, endpoints, exponents = _subtree_constraint_arrays(tree)
-    start = np.searchsorted(roots, tree.level_offset(from_level))
-    width = 2 ** (tree.depth - from_level)
-    assert (exponents[start:, width:] < 0).all()
-    exponents = exponents[start:, :width]
-    weights = np.where(exponents >= 0, np.ldexp(1.0, -exponents.astype(np.int64)), 0.0)
-    return roots[start:], endpoints[start:, :width], weights
-
-
 def assert_bitwise(got, want):
     for g, w in zip(got, want, strict=True):
         assert g.shape == w.shape
@@ -578,8 +565,9 @@ def sample_functions(tree, seed):
 
 
 class TestBruteForceArrays:
-    """The vectorized constraint arrays against the digit-tuple routes in
-    tests/oracles.py: bitwise, row order included."""
+    """The vectorized constraint arrays and subtree averages against the
+    digit-tuple routes in tests/oracles.py, row order included: the segment
+    arrays bitwise, the averages to within their rounding."""
 
     def test_oracle_imports_only_data_types(self):
         # the oracle may not call the library it checks: from the package it
@@ -601,15 +589,27 @@ class TestBruteForceArrays:
         assert_bitwise(got, oracle_segments(tree))
 
     @pytest.mark.parametrize("m,depth,rel", SUBTREE_CASES)
-    def test_subtree_arrays_match_enumeration(self, m, depth, rel):
+    def test_subtree_averages_match_enumeration(self, m, depth, rel):
         tree = TruncatedTree(m, depth)
-        roots, endpoints, exponents = _subtree_constraint_arrays(tree)
-        assert (roots.dtype, endpoints.dtype, exponents.dtype) == (np.int64, np.int32, np.int8)
-        # padding sits after every row's endpoints, with endpoint 0
-        pad = exponents < 0
-        assert not (pad[:, :-1] & ~pad[:, 1:]).any() and not endpoints[pad].any()
         from_level = 0 if rel is None else depth - rel
-        assert_bitwise(subtree_arrays(tree, from_level), oracle_subtrees(tree, from_level))
+        u = random_function(tree, np.random.default_rng([79, m, depth]))
+        # the levels come from the leaves up, the oracle's rows in flat order
+        levels = list(_subtree_averages(tree, u.values))[::-1]
+        assert [rows for rows, _ in levels] == [tree.level_slice(lv) for lv in range(depth)]
+        levels = levels[from_level:]
+        roots, endpoints, weights = oracle_subtrees(tree, from_level)
+        # one row per subtree of each root, roots in flat order
+        np.testing.assert_array_equal(roots, np.concatenate(
+            [np.arange(rows.start, rows.stop).repeat(a.shape[1]) for rows, a in levels]))
+        got = np.concatenate([a.ravel() for _, a in levels]).tolist()
+        # every weight is a power of two, so each product is exact and the
+        # Fraction sum is the exact average; each level adds one rounding of at
+        # most half an ulp of a value no larger than max|u|, so depth levels
+        # stay within depth * eps * max|u|
+        exact = [sum(map(Fraction, row), Fraction(0))
+                 for row in (weights * u.values[endpoints]).tolist()]
+        bound = depth * np.finfo(float).eps * np.abs(u.values).max()
+        assert max(abs(Fraction(g) - e) for g, e in zip(got, exact, strict=True)) <= bound
 
     @pytest.mark.parametrize("m,depth", [(2, 6), (3, 4), (4, 3), (5, 2)])
     def test_segment_verdicts_match_fraction_route(self, m, depth):
@@ -633,12 +633,3 @@ class TestBruteForceArrays:
             assert [f for f in check._flat if f >= first] == flat
             if rel is None:
                 assert (check.ok, check.checked) == (ok, checked)
-
-    def test_chunked_averages_cover_every_row(self, monkeypatch):
-        # chunks of a few rows give the same verdict as one chunk
-        tree = TruncatedTree(3, 3)
-        monkeypatch.setattr("treeconvex.convexity._CHUNK_ENTRIES", 3 * 8)
-        for u in sample_functions(tree, 73):
-            check = is_binary_convex(u, mode="subtrees")
-            assert (check.ok, check.checked, check._flat) == oracles.subtree_verdict(
-                u, oracle_subtrees(tree), 1e-9)
