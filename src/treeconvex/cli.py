@@ -13,17 +13,21 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from functools import lru_cache
 from itertools import islice
 from typing import Iterable
 
+# No command calls BLAS, and OpenBLAS's thread pool costs every process CPU
+# at start-up; the cap acts only before NumPy loads. A value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from ._kernels import ENVELOPE_VARIANTS
 from .boundary import convergence_study, csv_rows, leaf_psi_values, parse_datum, sample_leaves
-from .convexity import is_binary_convex, is_convex_operator, is_convex_segment
 from .functions import TreeFunction
 from .solver import SolveConfig, solve_dirichlet, solve_obstacle
 from .tree import TruncatedTree, Vertex
@@ -297,6 +301,9 @@ def _check_payload(check, labels: list[str]) -> dict:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    # the only command that needs the predicates
+    from .convexity import is_binary_convex, is_convex_operator, is_convex_segment
+
     tree = TruncatedTree(args.m, args.depth)
     u = read_function_csv(args.function, tree)
     tol = args.tol

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_VERTEX_BUDGET = 2**28
 BUDGET_ENV_VAR = "TREECONVEX_BUDGET"
@@ -84,6 +87,8 @@ class Vertex:
 
 def psi(v: Vertex) -> Fraction:
     """Digit-expansion map: sum of digits[i] / m^(i+1), exactly."""
+    from fractions import Fraction  # imported on call: no CLI command calls psi
+
     return Fraction(v.index, v.m**v.level)
 
 

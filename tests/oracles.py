@@ -6,8 +6,11 @@ Vertices are plain digit tuples, enumerated level by level with
 `itertools.product`; nothing here uses the library's geometry.  The minimal
 path between two vertices runs through their common digit prefix, an edge
 down to level k has the exact length `Fraction(1, m**k)`, and a binary
-subtree is the tuple of its endpoints.  The arrays come in the layout the
-library's predicates evaluate, so the tests can demand bitwise equality.
+subtree is the tuple of its endpoints.  The rows come in the library's
+order: the segment arrays are the layout `is_convex_segment` evaluates, so
+the tests demand bitwise equality there; the library checks subtrees by
+per-level averages, which the tests hold to these rows within a rounding
+bound.
 `read_function_csv` reads every file one `csv` row at a time.
 """
 
