@@ -104,16 +104,13 @@ def level_operator(
     return kernel(succ, par, m, k)
 
 
-def apply_operator(
-    tree: TruncatedTree,
-    values: np.ndarray,
-    variant: str,
-    k: int | None = None,
-) -> np.ndarray:
-    """One simultaneous (Jacobi) application: interior vertices get their
-    operator value, leaves are copied through unchanged."""
-    check_variant(variant, k, tree.m)
-    out = values.copy()
+def operator_levels(tree: TruncatedTree, values: np.ndarray, variant: str, k: int | None,
+                    obstacle: np.ndarray | None = None):
+    """(slice, operator values) of each interior level, root to leaves,
+    clipped by the obstacle if there is one."""
     for level in range(tree.depth):
-        out[tree.level_slice(level)] = level_operator(tree, values, level, variant, k)
-    return out
+        sl = tree.level_slice(level)
+        op = level_operator(tree, values, level, variant, k)
+        if obstacle is not None:
+            np.minimum(op, obstacle[sl], out=op)
+        yield sl, op

@@ -8,22 +8,24 @@ Two routes to every convexity notion are kept deliberately separate:
   segments, or finite binary subtrees with their endpoint weights).
 
 The brute-force predicates are quadratic or worse and refuse inputs above a
-fixed desk-scale budget instead of silently running forever.  The segment
-constraints are built in closed form with NumPy, and the subtree averages
-level by level from the leaves up; `tests/oracles.py` rebuilds both from the
-definitions on digit tuples, with exact distances, as the test reference.
+fixed desk-scale budget instead of silently running forever.  The subtree
+count is taken in closed form before any build and stops at the budget, so
+a skip is as cheap at any depth and names the budget, not the count.  The
+segment constraints are built in closed form with NumPy, and the subtree
+averages level by level from the leaves up; `tests/oracles.py` rebuilds both
+from the definitions on digit tuples, with exact distances, as the test
+reference.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from ._kernels import apply_operator, check_variant, full_laplacian_weights
+from ._kernels import check_variant, full_laplacian_weights, operator_levels
 from .functions import TreeFunction
 from .tree import TruncatedTree, Vertex
 
@@ -169,12 +171,12 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
 
 
-def _operator_check(u: TreeFunction, variant: str, tol: float, k: int | None = None) -> ConvexityCheck:
+def _operator_check(u: TreeFunction, variant: str, tol: float) -> ConvexityCheck:
     tree = u.tree
-    op = apply_operator(tree, u.values, variant, k)
-    interior = tree.interior_slice
-    bad = np.nonzero(u.values[interior] > op[interior] + tol)[0]
-    return _verdict(tree, bad.tolist(), tree.interior_count)
+    flat = []
+    for sl, op in operator_levels(tree, u.values, variant, None):
+        flat += (sl.start + np.flatnonzero(u.values[sl] > op + tol)).tolist()
+    return _verdict(tree, flat, tree.interior_count)
 
 
 def is_convex_operator(u: TreeFunction, tol: float = 1e-9) -> ConvexityCheck:
@@ -257,30 +259,12 @@ def _subtree_count(m: int, rel: int, cap: int | None = None) -> int:
     return ways - 1
 
 
-def _count_cap() -> int | None:
-    """The bound at which a count only decides a budget skip: past the
-    budget, and too long for `str` (None when Python sets no such limit)."""
-    digits = sys.get_int_max_str_digits()
-    return max(10**digits, SUBTREE_ENUMERATION_BUDGET + 1) if digits else None
-
-
-def _count_text(n: int) -> str:
-    """`n` in decimal; from m=2 depth 15 on, a subtree count has more digits
-    than `str` converts (`sys.get_int_max_str_digits()`), so a bound stands in."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"at least 10^{sys.get_int_max_str_digits()}"
-
-
 def _subtree_row_count(tree: TruncatedTree) -> int:
     """The number of binary subtrees of all interior vertices, in closed form,
-    before any build; at most `_count_cap()`, which any count that would be
-    built stays below."""
-    cap = _count_cap()
-    total = sum(tree.level_size(lv) * _subtree_count(tree.m, tree.depth - lv, cap)
-                for lv in range(tree.depth))
-    return total if cap is None else min(total, cap)
+    before any build; the count stops at the first value past the budget."""
+    cap = SUBTREE_ENUMERATION_BUDGET + 1
+    return min(cap, sum(tree.level_size(lv) * _subtree_count(tree.m, tree.depth - lv, cap)
+                        for lv in range(tree.depth)))
 
 
 def _subtree_averages(tree: TruncatedTree, values: np.ndarray):
@@ -319,8 +303,7 @@ def is_binary_convex(u: TreeFunction, tol: float = 1e-9, mode: str = "operator")
     if total > SUBTREE_ENUMERATION_BUDGET:
         return ConvexityCheck(
             ok=None, checked=0,
-            skipped=f"budget: {_count_text(total)} binary subtrees "
-                    f"exceed {SUBTREE_ENUMERATION_BUDGET}")
+            skipped=f"budget: more than {SUBTREE_ENUMERATION_BUDGET} binary subtrees")
     vals = u.values
     flat = []
     for rows, averages in _subtree_averages(tree, vals):

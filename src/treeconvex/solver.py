@@ -36,6 +36,7 @@ from ._kernels import (
     check_variant,
     full_laplacian_weights,
     level_operator,
+    operator_levels,
 )
 from .functions import TreeFunction
 from .tree import TruncatedTree, Vertex
@@ -79,18 +80,6 @@ class ObstacleResult:
     report: SolveReport
 
 
-def _operator_levels(tree: TruncatedTree, values: np.ndarray, variant: str, k: int | None,
-                     obstacle: np.ndarray | None = None):
-    """(slice, operator values) of each interior level, clipped by the
-    obstacle if there is one."""
-    for level in range(tree.depth):
-        sl = tree.level_slice(level)
-        op = level_operator(tree, values, level, variant, k)
-        if obstacle is not None:
-            np.minimum(op, obstacle[sl], out=op)
-        yield sl, op
-
-
 def _gap(level_values: np.ndarray, op: np.ndarray) -> np.ndarray:
     """|u - operator(u)| on one level, written into `op`."""
     np.subtract(level_values, op, out=op)
@@ -112,7 +101,7 @@ def _defect(tree: TruncatedTree, values: np.ndarray, variant: str, k: int | None
     truncated system constrains; leaves are clamped exactly), one level at a
     time, and the flat index of the first vertex where it peaks."""
     worst, at = -1.0, 0
-    for sl, op in _operator_levels(tree, values, variant, k, obstacle):
+    for sl, op in operator_levels(tree, values, variant, k, obstacle):
         worst, at = _peak(_gap(values[sl], op), sl.start, worst, at)
     return worst, at
 
@@ -320,7 +309,7 @@ def _lift(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
             sl = tree.level_slice(level)
             values[sl] = base[sl] + c * (tree.depth - level)
         if all(np.all(values[sl] >= op)
-               for sl, op in _operator_levels(tree, values, cfg.variant, cfg.k, obstacle)):
+               for sl, op in operator_levels(tree, values, cfg.variant, cfg.k, obstacle)):
             return
         c *= 2.0
 

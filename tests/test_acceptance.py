@@ -34,12 +34,11 @@ from treeconvex import (
     solve_dirichlet,
     solve_obstacle,
 )
-from treeconvex._kernels import apply_operator
 from treeconvex.boundary import parse_datum
 from treeconvex.cli import main as cli_main
 
 import oracles
-from engines import ENGINES, solve
+from engines import ENGINES, operator_values, solve
 
 
 def report(number: int, slug: str, ok: bool, detail: str = "") -> None:
@@ -107,7 +106,7 @@ def test_criterion_1_reference_fixed_points():
                         if r > 1e-12:
                             failures.append((m, str(x0), variant, "residual", r))
                         continue
-                    defect = apply_operator(tree, f.values, variant) - f.values
+                    defect = operator_values(tree, f.values, variant) - f.values
                     if defect.min() < -1e-12:
                         failures.append((m, str(x0), variant, "u > op", -defect.min()))
                     if gap_at is not None:
@@ -269,7 +268,7 @@ def test_criterion_4_largest_solution_and_comparison():
         for v in candidates:
             subsolutions += 1
             vf = TreeFunction.from_values(tree, v)
-            op = apply_operator(tree, vf.values, "convex")
+            op = operator_values(tree, vf.values, "convex")
             assert np.all(vf.values[interior] <= op[interior] + 1e-9), "not a subsolution"
             assert np.all(vf.leaf_values <= g + 1e-12), "exceeds the leaf data"
             if not np.all(v <= u + 1e-10):
@@ -335,7 +334,7 @@ def test_criterion_6_obstacle_contract():
                 problems.append(f"{label}: not converged")
             if not np.all(u <= f.values):
                 problems.append(f"{label}: envelope exceeds obstacle")
-            op = apply_operator(tree, u, "convex")
+            op = operator_values(tree, u, "convex")
             off_cs = ~result.coincidence_mask[interior]
             if not np.all(np.abs(u[interior][off_cs] - op[interior][off_cs]) <= 1e-10):
                 problems.append(f"{label}: residual off the coincidence set")
@@ -456,11 +455,11 @@ def test_criterion_11_definitional_envelope():
     1e-12 * max|data|, the greatest function that satisfies every segment
     (binary-subtree) constraint, swept down from the definition by
     `oracles.definitional_envelope`.  Random leaf data and obstacles, 4 of
-    each per size; convex at m=2 L=4..6 and m=3 L=3, binary at m=2 L=4 and
-    m=3 L=3."""
+    each per size; convex at m=2 L=4..6, m=3 L=3..4 and m=5 L=3, binary at
+    m=2 L=4 and m=3 L=3."""
     rng = np.random.default_rng(11)
     cases = [("convex", 2, 4), ("convex", 2, 5), ("convex", 2, 6), ("convex", 3, 3),
-             ("binary", 2, 4), ("binary", 3, 3)]
+             ("convex", 3, 4), ("convex", 5, 3), ("binary", 2, 4), ("binary", 3, 3)]
     failures = []
     sweeps = {}
     worst = 0.0

@@ -343,6 +343,15 @@ class TestReferences:
         assert x0 in check.violations
 
 
+def assert_pointwise_violations(check, u, op):
+    """An operator check lists, in strictly increasing flat order, exactly the
+    interior vertices where the pointwise operator is exceeded by more than
+    the default tol."""
+    assert all(a < b for a, b in zip(check._flat, check._flat[1:]))
+    assert check.violations == [x for x in interior_vertices(u.tree)
+                                if u.value_at(x) > op(u, x) + 1e-9]
+
+
 class TestPredicates:
     def test_constant_passes_everything(self):
         tree = TruncatedTree(2, 3)
@@ -378,20 +387,29 @@ class TestPredicates:
 
     def test_operator_segment_agreement_smoke(self):
         rng = np.random.default_rng(37)
-        for m, depth in [(2, 3), (3, 2)]:
+        levels = set()
+        for m, depth in [(2, 3), (3, 2), (3, 3)]:
             tree = TruncatedTree(m, depth)
             for _ in range(20):
                 u = random_function(tree, rng)
-                assert is_convex_operator(u).ok == is_convex_segment(u).ok
+                check = is_convex_operator(u)
+                assert check.ok == is_convex_segment(u).ok
+                assert_pointwise_violations(check, u, op_convex)
+                levels.add(len({x.level for x in check.violations}))
+        assert max(levels) >= 3
 
     def test_binary_mode_agreement_smoke(self):
         rng = np.random.default_rng(41)
-        for m, depth in [(2, 3), (3, 2)]:
+        levels = set()
+        for m, depth in [(2, 3), (3, 2), (3, 3)]:
             tree = TruncatedTree(m, depth)
             for _ in range(20):
                 u = random_function(tree, rng)
-                assert (is_binary_convex(u, mode="operator").ok
-                        == is_binary_convex(u, mode="subtrees").ok)
+                check = is_binary_convex(u, mode="operator")
+                assert check.ok == is_binary_convex(u, mode="subtrees").ok
+                assert_pointwise_violations(check, u, op_binary)
+                levels.add(len({x.level for x in check.violations}))
+        assert max(levels) >= 3
 
     def test_convex_implies_binary(self):
         rng = np.random.default_rng(43)
@@ -450,23 +468,24 @@ class TestPredicates:
         assert check.checked == wiener - n * (n - 1) // 2 == 1_448_703
 
     def test_subtree_budget_refusal(self):
-        tree = TruncatedTree(3, 4)  # full-depth enumeration at the root explodes
-        u = TreeFunction.constant(tree, 0.0)
-        check = is_binary_convex(u, mode="subtrees")
-        assert check.ok is None
-        assert check.skipped == "budget: 155714970 binary subtrees exceed 1000000"
-        total = sum(3**level * _subtree_count(3, 4 - level) for level in range(4))
-        assert str(total) in check.skipped
-        # from m=2 depth 15 on the count has more digits than str() converts
-        deep = is_binary_convex(TreeFunction.constant(TruncatedTree(2, 15), 0.0), mode="subtrees")
-        assert deep.ok is None
-        assert deep.skipped == "budget: at least 10^4300 binary subtrees exceed 1000000"
-        # the count stops past the bound, so a deep tree is skipped at once
+        skip = "budget: more than 1000000 binary subtrees"
+        # full-depth enumeration at the root explodes at m=3 depth 4, and at
+        # m=2 from depth 6 on
+        for m, depth in [(3, 4), (2, 6), (2, 15)]:
+            check = is_binary_convex(TreeFunction.constant(TruncatedTree(m, depth), 0.0),
+                                     mode="subtrees")
+            assert (check.ok, check.checked, check.skipped) == (None, 0, skip)
+        # m=2 depth 5 is just under the budget and checks every subtree
+        edge = is_binary_convex(TreeFunction.constant(TruncatedTree(2, 5), 0.0), mode="subtrees")
+        total = sum(2**level * _subtree_count(2, 5 - level) for level in range(5))
+        assert (edge.ok, edge.skipped) == (True, None)
+        assert edge.checked == total == 459_829
+        # the count stops at the budget, so a deep tree is skipped at once
         # (an exact count squares integers of about 3 million bits here)
         start = time.perf_counter()
         deeper = is_binary_convex(TreeFunction.zeros(TruncatedTree(2, 22)), mode="subtrees")
         assert time.perf_counter() - start < 0.1
-        assert deeper.skipped == deep.skipped
+        assert deeper.skipped == skip
 
 
 def weights(root, ends):

@@ -23,7 +23,7 @@ from treeconvex import (
 from treeconvex.solver import (PRED, TOUCH, _ConvexPolicy, _eliminate, _laplacian_system,
                                _two_smallest)
 
-from engines import ENGINES, solve
+from engines import ENGINES, operator_values, solve
 
 VARIANTS = ENVELOPE_VARIANTS + LAPLACIAN_VARIANTS
 
@@ -485,15 +485,13 @@ class TestObstacle:
                 assert u[argmin] <= f.values.min() + 1e-12
 
     def test_equation_holds_off_coincidence_set(self):
-        from treeconvex._kernels import apply_operator
-
         rng = np.random.default_rng(103)
         tree = TruncatedTree(2, 5)
         cfg = SolveConfig(variant="convex")
         f = TreeFunction.from_values(tree, rng.standard_normal(tree.vertex_count))
         result = solve_obstacle(f, cfg)
         u = result.envelope.values
-        op = apply_operator(tree, u, "convex")
+        op = operator_values(tree, u, "convex")
         interior = tree.interior_slice
         off_cs = ~result.coincidence_mask[interior]
         assert np.all(np.abs(u[interior][off_cs] - op[interior][off_cs]) <= 1e-10)
