@@ -11,10 +11,10 @@ The brute-force predicates are quadratic or worse and refuse inputs above a
 fixed desk-scale budget instead of silently running forever.  The subtree
 count is taken in closed form before any build and stops at the budget, so
 a skip is as cheap at any depth and names the budget, not the count.  The
-segment constraints are built in closed form with NumPy, and the subtree
-averages level by level from the leaves up; `tests/oracles.py` rebuilds both
-from the definitions on digit tuples, with exact distances, as the test
-reference.
+segment constraints are built in closed form with NumPy, in blocks of vertex
+pairs each tested as it is built, and the subtree averages level by level
+from the leaves up; `tests/oracles.py` rebuilds both from the definitions
+on digit tuples, with exact distances, as the test reference.
 """
 
 from __future__ import annotations
@@ -29,15 +29,21 @@ from ._kernels import check_variant, full_laplacian_weights, operator_levels
 from .functions import TreeFunction
 from .tree import TruncatedTree, Vertex
 
-# Measured on a 2-vCPU x86 VM with NumPy 2.4.  A segment constraint stores
-# 40 B (three int64 indices, two float64 weights) and its build peaks at about
-# 125 B; at the edge, m=2 depth 8 (511 vertices), 1,448,703 constraints take
-# 58 MB and build in 0.15 s.  A binary subtree is one float64 average, and
-# only one level's averages are held at a time: the subtree check peaks at
-# about 17 B per subtree (the averages, one temporary of the same size and a
-# bool each).  At the edge, m=2 depth 5 checks 459,829 subtrees, 458,329 of
-# them at the root, in 8 ms with a 7.8 MB peak.
+# Measured on a 2-vCPU x86 VM with NumPy 2.4.  The segment constraints are
+# built and tested SEGMENT_BLOCK_PAIRS vertex pairs at a time, each block
+# dropped once tested, so the check holds the pair list (16 B a pair) and one
+# block.  At the edge, m=2 depth 8 (511 vertices, 130,305 pairs, 1,448,703
+# constraints), its tracemalloc peak and median time are 3.4 MB and 154 ms
+# with blocks of 512 pairs, 4.7 MB and 127 ms with 1024, and 7.0 MB and
+# 112 ms with 2048, against 179 MB and 188 ms in one piece; at m=2 depth 7,
+# 1.7, 2.7 and 4.6 MB in 34-40 ms, against 37 MB and 55 ms.  1024 pairs keep
+# the peak under 5 MB at no cost in time.  A binary subtree is one float64
+# average, and only one level's averages are held at a time: the subtree
+# check peaks at about 17 B per subtree (the averages, one temporary of the
+# same size and a bool each).  At the edge, m=2 depth 5 checks 459,829
+# subtrees, 458,329 of them at the root, in 8 ms with a 7.8 MB peak.
 SEGMENT_VERTEX_BUDGET = 512
+SEGMENT_BLOCK_PAIRS = 1024
 SUBTREE_ENUMERATION_BUDGET = 1_000_000
 
 
@@ -164,9 +170,10 @@ def _verdict(tree: TruncatedTree, flat: list[int], checked: int) -> ConvexityChe
     return ConvexityCheck(ok=not flat, checked=checked, _tree=tree, _flat=flat)
 
 
-def _check_tol(tol: float) -> None:
-    # with a nan tol every `u > bound + tol` is False, so every check would
-    # pass; a negative tol would flag exact equalities
+def _check_input(u: TreeFunction, tol: float) -> None:
+    # with a nan value or tol every `u > bound + tol` is False, so every check
+    # would pass; a negative tol would flag exact equalities
+    u.validate()
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
 
@@ -182,14 +189,15 @@ def _operator_check(u: TreeFunction, variant: str, tol: float) -> ConvexityCheck
 def is_convex_operator(u: TreeFunction, tol: float = 1e-9) -> ConvexityCheck:
     """u(x) <= op_convex(u, x) + tol at every interior vertex (the root is
     checked against the successor-pair term only)."""
-    _check_tol(tol)
+    _check_input(u, tol)
     return _operator_check(u, "convex", tol)
 
 
 def _segment_constraints(tree: TruncatedTree):
     """All interpolation constraints u(z) <= wx*u(x) + wy*u(y) for z strictly
-    inside a minimal path [x, y], as flat-index/weight arrays: pairs x < y in
-    flat order, then z in path order from x.
+    inside a minimal path [x, y], as flat-index/weight arrays, in blocks of
+    SEGMENT_BLOCK_PAIRS consecutive pairs: pairs x < y in flat order, then z
+    in path order from x.
 
     Distances are scaled by m^L to integers: a level-j edge has length
     m^(L-j), and a vertex at level l lies cum[l] = sum_{j<=l} m^(L-j) below
@@ -201,41 +209,48 @@ def _segment_constraints(tree: TruncatedTree):
     off = np.concatenate(([0], np.cumsum(pw)))
     level = np.repeat(np.arange(depth + 1), pw)
     index = np.arange(tree.vertex_count) - off[level]
-    a, b = np.triu_indices(tree.vertex_count, 1)
-    la, lb, ia, ib = level[a], level[b], index[a], index[b]
-    # common-ancestor level: the number of levels l >= 1 whose ancestors
-    # agree (a < b in flat order, so la <= lb)
-    lw = np.zeros_like(a)
-    for lv in range(1, depth + 1):
-        lw += (la >= lv) & (ia // pw[np.maximum(la - lv, 0)] == ib // pw[np.maximum(lb - lv, 0)])
-    inner = la + lb - 2 * lw - 1  # path vertices strictly between x and y
-    keep = inner > 0
-    a, b, la, lb, ia, ib, lw, inner = (v[keep] for v in (a, b, la, lb, ia, ib, lw, inner))
-    pair = np.repeat(np.arange(a.size), inner)
-    t = np.arange(pair.size) - np.repeat(np.cumsum(inner) - inner, inner) + 1
-    la, lb, ia, ib, lw = la[pair], lb[pair], ia[pair], ib[pair], lw[pair]
-    up = t <= la - lw  # z on the way up from x, else on the way down to y
-    lz = np.where(up, la - t, 2 * lw + t - la)
-    iz = off[lz] + np.where(up, ia, ib) // pw[np.where(up, la, lb) - lz]
-    dxy = cum[la] + cum[lb] - 2 * cum[lw]
-    dxz = np.where(up, cum[la] - cum[lz], cum[la] + cum[lz] - 2 * cum[lw])
-    return iz, a[pair], b[pair], (dxy - dxz) / dxy, dxz / dxy
+    pairs_a, pairs_b = np.triu_indices(tree.vertex_count, 1)
+    for start in range(0, pairs_a.size, SEGMENT_BLOCK_PAIRS):
+        a = pairs_a[start : start + SEGMENT_BLOCK_PAIRS]
+        b = pairs_b[start : start + SEGMENT_BLOCK_PAIRS]
+        la, lb, ia, ib = level[a], level[b], index[a], index[b]
+        # common-ancestor level: the number of levels l >= 1 whose ancestors
+        # agree (a < b in flat order, so la <= lb)
+        lw = np.zeros_like(a)
+        for lv in range(1, depth + 1):
+            lw += (la >= lv) & (ia // pw[np.maximum(la - lv, 0)] == ib // pw[np.maximum(lb - lv, 0)])
+        inner = la + lb - 2 * lw - 1  # path vertices strictly between x and y
+        keep = inner > 0
+        a, b, la, lb, ia, ib, lw, inner = (v[keep] for v in (a, b, la, lb, ia, ib, lw, inner))
+        pair = np.repeat(np.arange(a.size), inner)
+        t = np.arange(pair.size) - np.repeat(np.cumsum(inner) - inner, inner) + 1
+        la, lb, ia, ib, lw = la[pair], lb[pair], ia[pair], ib[pair], lw[pair]
+        up = t <= la - lw  # z on the way up from x, else on the way down to y
+        lz = np.where(up, la - t, 2 * lw + t - la)
+        iz = off[lz] + np.where(up, ia, ib) // pw[np.where(up, la, lb) - lz]
+        dxy = cum[la] + cum[lb] - 2 * cum[lw]
+        dxz = np.where(up, cum[la] - cum[lz], cum[la] + cum[lz] - 2 * cum[lw])
+        yield iz, a[pair], b[pair], (dxy - dxz) / dxy, dxz / dxy
 
 
 def is_convex_segment(u: TreeFunction, tol: float = 1e-9) -> ConvexityCheck:
     """Brute force over all vertex triples x, y, z with z inside the minimal
     path [x, y]: checks the distance-weighted interpolation inequality."""
-    _check_tol(tol)
+    _check_input(u, tol)
     tree = u.tree
     if tree.vertex_count > SEGMENT_VERTEX_BUDGET:
         return ConvexityCheck(
             ok=None, checked=0,
             skipped=f"budget: {tree.vertex_count} vertices exceed "
                     f"{SEGMENT_VERTEX_BUDGET} for the segment brute force")
-    iz, ix, iy, wx, wy = _segment_constraints(tree)
     vals = u.values
-    bad = vals[iz] > wx * vals[ix] + wy * vals[iy] + tol
-    return _verdict(tree, list(dict.fromkeys(iz[bad].tolist())), len(iz))
+    flat, checked = {}, 0
+    for iz, ix, iy, wx, wy in _segment_constraints(tree):
+        bad = vals[iz] > wx * vals[ix] + wy * vals[iy] + tol
+        # a union keeps each vertex where the first block to flag it put it
+        flat |= dict.fromkeys(iz[bad].tolist())
+        checked += iz.size
+    return _verdict(tree, list(flat), checked)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +308,7 @@ def is_binary_convex(u: TreeFunction, tol: float = 1e-9, mode: str = "operator")
     """Binary convexity either via the one-step pair-min inequality at every
     interior vertex ("operator") or by brute force over all finite binary
     subtrees, down to the leaves ("subtrees")."""
-    _check_tol(tol)
+    _check_input(u, tol)
     if mode == "operator":
         return _operator_check(u, "binary", tol)
     if mode != "subtrees":

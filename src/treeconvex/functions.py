@@ -18,15 +18,9 @@ class TreeFunction:
 
     @classmethod
     def from_values(cls, tree: TruncatedTree, values) -> TreeFunction:
-        arr = np.asarray(values, dtype=np.float64).copy()
-        if arr.shape != (tree.vertex_count,):
-            raise ValueError(
-                f"expected {tree.vertex_count} values for m={tree.m}, "
-                f"depth={tree.depth}, got shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValueError("tree function values must be finite")
-        return cls(tree, arr)
+        u = cls(tree, np.asarray(values, dtype=np.float64).copy())
+        u.validate()
+        return u
 
     @classmethod
     def constant(cls, tree: TruncatedTree, value: float) -> TreeFunction:
@@ -35,6 +29,17 @@ class TreeFunction:
     @classmethod
     def zeros(cls, tree: TruncatedTree) -> TreeFunction:
         return cls(tree, np.zeros(tree.vertex_count))
+
+    def validate(self) -> None:
+        """Raise ValueError unless there is one finite value per vertex."""
+        tree = self.tree
+        if self.values.shape != (tree.vertex_count,):
+            raise ValueError(
+                f"expected {tree.vertex_count} values for m={tree.m}, "
+                f"depth={tree.depth}, got shape {self.values.shape}"
+            )
+        if not np.isfinite(self.values).all():
+            raise ValueError("tree function values must be finite")
 
     def value_at(self, v: Vertex) -> float:
         return float(self.values[self.tree.flat_index(v)])

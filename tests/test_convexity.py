@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -33,6 +34,7 @@ from treeconvex import (
     residual,
     solve_dirichlet,
 )
+from treeconvex import convexity
 from treeconvex._kernels import level_operator
 from treeconvex.convexity import (
     _segment_constraints,
@@ -367,16 +369,32 @@ class TestPredicates:
             is_binary_convex(u, mode="x")
         assert str(exc.value) == "mode must be 'operator' or 'subtrees', got 'x'"
 
+    PREDICATES = [is_convex_operator, is_convex_segment,
+                  lambda u, tol: is_binary_convex(u, tol, mode="operator"),
+                  lambda u, tol: is_binary_convex(u, tol, mode="subtrees")]
+
     def test_tol_must_be_finite_and_non_negative(self):
         u = TreeFunction.constant(TruncatedTree(2, 2), 1.0)
-        predicates = [is_convex_operator, is_convex_segment,
-                      lambda u, tol: is_binary_convex(u, tol, mode="operator"),
-                      lambda u, tol: is_binary_convex(u, tol, mode="subtrees")]
-        for predicate in predicates:
+        for predicate in self.PREDICATES:
             for tol in (np.nan, np.inf, -1.0):
                 with pytest.raises(ValueError, match="finite and non-negative"):
                     predicate(u, tol)
             assert predicate(u, 0.0).ok
+
+    def test_values_must_be_finite_and_one_per_vertex(self):
+        # a TreeFunction built directly skips from_values' checks; a nan
+        # fails every comparison, so each predicate would call it convex
+        tree = TruncatedTree(2, 3)
+        values = np.zeros(tree.vertex_count)
+        values[1] = np.nan
+        refused = [(values, "tree function values must be finite"),
+                   (np.zeros(14), "expected 15 values for m=2, depth=3, got shape (14,)"),
+                   (np.zeros(16), "expected 15 values for m=2, depth=3, got shape (16,)")]
+        for predicate in self.PREDICATES:
+            for bad, message in refused:
+                with pytest.raises(ValueError) as exc:
+                    predicate(TreeFunction(tree, bad), 1e-9)
+                assert str(exc.value) == message
 
     def test_spike_at_root_fails_both(self):
         tree = TruncatedTree(2, 2)
@@ -458,7 +476,15 @@ class TestPredicates:
         tree = TruncatedTree(2, 8)  # 511 vertices, the largest binary tree inside the budget
         u = solve_dirichlet(tree, np.random.default_rng(61).uniform(0, 1, tree.leaf_count),
                             SolveConfig(variant="convex")).solution
-        check = is_convex_segment(u)
+        tracemalloc.start()
+        try:
+            check = is_convex_segment(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the constraints are built and tested in blocks: about 5 MB, where
+        # holding all of them at once peaked at 179 MB
+        assert peak < 16e6
         # one row per path vertex strictly inside a segment: the sum of the
         # edge distances over all pairs (each edge joins s and n - s vertices)
         # less one per pair
@@ -603,7 +629,8 @@ class TestBruteForceArrays:
     @pytest.mark.parametrize("m,depth", SEGMENT_CASES)
     def test_segment_arrays_match_fraction_route(self, m, depth):
         tree = TruncatedTree(m, depth)
-        got = _segment_constraints(tree)
+        # the blocks, one after another, are the oracle's rows in order
+        got = [np.concatenate(arrays) for arrays in zip(*_segment_constraints(tree))]
         assert [a.dtype for a in got] == [np.int64] * 3 + [np.float64] * 2
         assert_bitwise(got, oracle_segments(tree))
 
@@ -637,6 +664,22 @@ class TestBruteForceArrays:
             check = is_convex_segment(u)
             assert (check.ok, check.checked, check._flat) == oracles.segment_verdict(
                 u, oracle_segments(tree), 1e-9)
+
+    @pytest.mark.parametrize("m,depth", [(2, 6), (3, 4), (5, 3)])
+    def test_segment_verdicts_do_not_depend_on_block_size(self, m, depth, monkeypatch):
+        # with 1 and 7 pairs a block, the violations of the random and the
+        # raised function (not the envelope, which has none) fall in many
+        # blocks, and each vertex must keep the place of its first violation
+        tree = TruncatedTree(m, depth)
+        for u in list(sample_functions(tree, 83))[::2]:
+            default = is_convex_segment(u)
+            want = oracles.segment_verdict(u, oracle_segments(tree), 1e-9)
+            assert (default.ok, default.checked, default._flat) == want and not default.ok
+            for pairs in (1, 7):
+                monkeypatch.setattr(convexity, "SEGMENT_BLOCK_PAIRS", pairs)
+                check = is_convex_segment(u)
+                monkeypatch.undo()
+                assert (check.ok, check.checked, check._flat) == want
 
     @pytest.mark.parametrize("m,depth,rel", [(2, 4, None), (3, 3, None), (5, 2, None),
                                              (4, 3, 2)])
