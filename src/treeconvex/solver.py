@@ -10,13 +10,13 @@ primitive `_eliminate`, O(n) with no fill-in.  The convex equation is a
 minimum of such linear systems, one per choice at each vertex (pair,
 predecessor branch, or the obstacle); Howard policy iteration solves the
 system of the argmin choice at the iterate until the defect is within tol or
-the policy repeats.  The policy step finds each vertex's two smallest
-successors in one pass over the successor columns; where successors tie, it
-may pick any minimizing column, as every such choice attains the minimum.
-Each iterate is a supersolution of the next policy's system, so the
-evaluations descend.  The rounding of an evaluation grows with the size of
-the data; when it leaves the defect above tol, Gauss-Seidel sweeps from a
-float supersolution just above the iterate finish the solve.
+the policy repeats.  The policy step takes its choices from the row kernel
+that evaluates the operator everywhere else, in the same operator pass that
+gives the defect; of tied successors it picks the earliest column.  Each
+iterate is a supersolution of the next policy's system, so the evaluations
+descend.  The rounding of an evaluation grows with the size of the data;
+when it leaves the defect above tol, Gauss-Seidel sweeps from a float
+supersolution just above the iterate finish the solve.
 
 The sweep loop `_iterate` also runs Jacobi, which reads a frozen copy of the
 previous iterate instead of the current one; the tests use it as the
@@ -33,18 +33,14 @@ from ._kernels import (
     CLIPPED_VARIANTS,
     ENVELOPE_VARIANTS,
     KERNELS,
+    PRED,
+    TOUCH,
     check_variant,
     full_laplacian_weights,
-    level_operator,
     operator_levels,
 )
 from .functions import TreeFunction
 from .tree import TruncatedTree, Vertex
-
-# Howard policy codes: `first` holds the column of the smallest successor,
-# `second` the column of its pair partner or PRED; both hold TOUCH where the
-# choice is the obstacle.
-PRED, TOUCH = -1, -2
 
 
 @dataclass(frozen=True)
@@ -80,15 +76,12 @@ class ObstacleResult:
     report: SolveReport
 
 
-def _gap(level_values: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """|u - operator(u)| on one level, written into `op`."""
-    np.subtract(level_values, op, out=op)
-    return np.abs(op, out=op)
-
-
-def _peak(gap: np.ndarray, start: int, worst: float, at: int) -> tuple[float, int]:
-    """Fold one level's |u - operator(u)| (flat indices from `start`) into the
-    running sup `worst` attained at `at`; NaN counts as the largest."""
+def _peak(level_values: np.ndarray, op: np.ndarray, start: int, worst: float,
+          at: int) -> tuple[float, int]:
+    """Fold one level's |u - operator(u)| (written into `op`; flat indices
+    from `start`) into the running sup `worst` attained at `at`; NaN counts
+    as the largest."""
+    gap = np.abs(np.subtract(level_values, op, out=op), out=op)
     i = int(np.argmax(gap))  # the first NaN, if there is one
     if gap[i] > worst or (np.isnan(gap[i]) and not np.isnan(worst)):
         return float(gap[i]), start + i
@@ -102,7 +95,7 @@ def _defect(tree: TruncatedTree, values: np.ndarray, variant: str, k: int | None
     time, and the flat index of the first vertex where it peaks."""
     worst, at = -1.0, 0
     for sl, op in operator_levels(tree, values, variant, k, obstacle):
-        worst, at = _peak(_gap(values[sl], op), sl.start, worst, at)
+        worst, at = _peak(values[sl], op, sl.start, worst, at)
     return worst, at
 
 
@@ -142,12 +135,9 @@ def _iterate(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
     while True:
         source = values.copy() if jacobi else values
         change = 0.0
-        for level in range(tree.depth - 1, -1, -1):
-            sl = tree.level_slice(level)
-            new_level = level_operator(tree, source, level, cfg.variant, cfg.k)
-            if obstacle is not None:
-                np.minimum(new_level, obstacle[sl], out=new_level)
-            elif clip:
+        for sl, new_level in operator_levels(tree, source, cfg.variant, cfg.k, obstacle,
+                                             leaves_first=True):
+            if clip:
                 np.minimum(new_level, values[sl], out=new_level)
             # np.maximum keeps a NaN change, which the builtin max drops
             change = float(np.maximum(change, np.max(np.abs(new_level - values[sl]))))
@@ -202,40 +192,12 @@ def _laplacian_system(tree: TruncatedTree):
     return system
 
 
-def _assign(codes: np.ndarray, where: np.ndarray, code) -> None:
-    """`codes[where] = code` for small-integer codes, as arithmetic: a masked
-    write costs many times more.  Exact also where the difference wraps."""
-    codes += where * (code - codes)
-
-
-def _two_smallest(succ: np.ndarray, dtype) -> tuple[np.ndarray, ...]:
-    """The smallest and second-smallest entry of each row of `succ` (at least
-    two columns) and their columns in `dtype`: (s0, s1, first, second).
-
-    One pass over the columns keeps the running pair, so m = 2 takes one
-    comparison per row.  Of equal entries the earlier column comes first, as
-    in a stable sort of the row."""
-    swap = succ[:, 1] < succ[:, 0]
-    s0 = np.where(swap, succ[:, 1], succ[:, 0])
-    s1 = np.where(swap, succ[:, 0], succ[:, 1])
-    first = swap.astype(dtype)
-    second = 1 - first
-    for col in range(2, succ.shape[1]):
-        v = succ[:, col]
-        below0, below1 = v < s0, v < s1
-        s1 = np.where(below0, s0, np.where(below1, v, s1))
-        s0 = np.where(below0, v, s0)
-        _assign(second, below1, col)
-        _assign(second, below0, first)
-        _assign(first, below0, col)
-    return s0, s1, first, second
-
-
 class _ConvexPolicy:
     """Howard policy of the convex equation and of its obstacle problem: at
     every interior vertex, the argmin choice among the smallest successor
     pair, the predecessor branch with the smallest successor, and the
-    obstacle.  Stored as two small-integer columns (see PRED and TOUCH)."""
+    obstacle.  Stored as the min kernel's two choice-code columns (see
+    `_kernels.PRED` and `TOUCH`)."""
 
     def __init__(self, tree: TruncatedTree, obstacle: np.ndarray | None) -> None:
         self.tree, self.obstacle = tree, obstacle
@@ -247,27 +209,14 @@ class _ConvexPolicy:
         """Store at every interior vertex the choice that attains the operator
         at `values`.  Returns the defect of `values` and its flat index, as
         `_defect` does, and whether any stored choice changed."""
-        tree, m = self.tree, self.tree.m
         worst, at, changed = -1.0, 0, False
-        for level in range(tree.depth):
-            sl = tree.level_slice(level)
-            succ = values[tree.level_slice(level + 1)].reshape(-1, m)
-            s0, s1, first, second = _two_smallest(succ, self.first.dtype)
-            op = (s0 + s1) / 2.0
-            if level > 0:
-                pred = (np.repeat(values[tree.level_slice(level - 1)], m) + m * s0) / (m + 1)
-                _assign(second, pred < op, PRED)
-                np.minimum(op, pred, out=op)
-            if self.obstacle is not None:
-                touch = self.obstacle[sl] < op
-                _assign(first, touch, TOUCH)
-                _assign(second, touch, TOUCH)
-                np.minimum(op, self.obstacle[sl], out=op)
+        for sl, op, first, second in operator_levels(self.tree, values, "convex", None,
+                                                     self.obstacle, self.first.dtype):
             if not (np.array_equal(first, self.first[sl])
                     and np.array_equal(second, self.second[sl])):
                 changed = True
                 self.first[sl], self.second[sl] = first, second
-            worst, at = _peak(_gap(values[sl], op), sl.start, worst, at)
+            worst, at = _peak(values[sl], op, sl.start, worst, at)
         return worst, at, changed
 
     def system(self, level: int, alpha_succ, beta_succ):
@@ -386,6 +335,7 @@ def solve_obstacle(obstacle: TreeFunction, cfg: SolveConfig) -> ObstacleResult:
     if cfg.variant not in ENVELOPE_VARIANTS:
         raise ValueError(f"variant {cfg.variant!r} is not an envelope equation")
     check_variant(cfg.variant, cfg.k, obstacle.tree.m)
+    obstacle.validate()
     f = obstacle.values.copy()
     report = _solve(obstacle.tree, f.copy(), cfg, obstacle=f)
     mask = np.abs(report.solution.values - f) <= cfg.tol
@@ -396,4 +346,5 @@ def residual(u: TreeFunction, variant: str, k: int | None = None) -> float:
     """Sup-norm defect of the variant's equation over the interior vertices
     of u's tree."""
     check_variant(variant, k, u.tree.m)
+    u.validate()
     return _defect(u.tree, u.values, variant, k)[0]

@@ -20,8 +20,8 @@ from treeconvex import (
     solve_dirichlet,
     solve_obstacle,
 )
-from treeconvex.solver import (PRED, TOUCH, _ConvexPolicy, _eliminate, _laplacian_system,
-                               _two_smallest)
+from treeconvex._kernels import PRED, TOUCH, _min_kernel
+from treeconvex.solver import _ConvexPolicy, _defect, _eliminate, _laplacian_system
 
 from engines import ENGINES, operator_values, solve
 
@@ -344,21 +344,21 @@ class TestDirect:
     def test_nan_change_stops_reference_sweeps(self, monkeypatch):
         """A NaN on the first level a sweep updates reaches `last_change`
         (the builtin max drops it) and stops the sweeps at once."""
-        import treeconvex.solver as solver
+        import treeconvex._kernels as kernels
 
-        real = solver.level_operator
+        real = kernels.level_operator
         tree = TruncatedTree(2, 4)
         for engine in ("jacobi", "gs"):
             poisoned = []
 
-            def level_operator(tree, values, level, variant, k=None):
-                op = real(tree, values, level, variant, k)
+            def level_operator(tree, values, level, variant, k=None, codes=None):
+                op = real(tree, values, level, variant, k, codes)
                 if not poisoned:
                     poisoned.append(level)
                     op[0] = np.nan
                 return op
 
-            monkeypatch.setattr(solver, "level_operator", level_operator)
+            monkeypatch.setattr(kernels, "level_operator", level_operator)
             with np.errstate(invalid="ignore"):
                 report = solve(engine, tree, SolveConfig(max_iter=50),
                                np.linspace(0, 1, tree.leaf_count))
@@ -376,24 +376,48 @@ def tie_rows(rng, n, m):
 
 
 class TestPolicyStep:
-    """The policy step's pass for each vertex's two smallest successors."""
+    """The row kernel of the convex and binary minimum, and the policy step
+    that reads its choice codes."""
 
-    @pytest.mark.parametrize("m", [2, 3, 5, 8])
-    def test_two_smallest_is_head_of_sorted_row(self, m):
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 12])
+    def test_min_kernel_is_head_of_sorted_row(self, m):
         # a stable sort keeps equal entries (-0.0 and 0.0) in column order,
-        # as the pass does, so the values agree bit for bit
+        # as the kernel does, so the values agree bit for bit
         rng = np.random.default_rng(m)
         succ = tie_rows(rng, 4000, m)
-        dtype = np.min_scalar_type(-m)
-        s0, s1, first, second = _two_smallest(succ, dtype)
-        head = np.sort(succ, axis=1, kind="stable")[:, :2]
-        assert np.array_equal(np.stack([s0, s1], axis=1).view(np.uint64), head.view(np.uint64))
-        assert first.dtype == second.dtype == dtype
         rows = np.arange(len(succ))
-        assert np.array_equal(succ[rows, first].view(np.uint64), s0.view(np.uint64))
-        assert np.array_equal(succ[rows, second].view(np.uint64), s1.view(np.uint64))
-        assert np.all(first != second)
-        assert np.all((0 <= first) & (first < m) & (0 <= second) & (second < m))
+        head = np.sort(succ, axis=1, kind="stable")[:, :2]
+        pair = (head[:, 0] + head[:, 1]) / 2.0
+        par = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=len(succ))
+        branch = (par + m * head[:, 0]) / (m + 1)
+        dtype = np.min_scalar_type(-m)
+        for p, expected in [(None, pair), (par, np.minimum(pair, branch))]:
+            values = _min_kernel(succ, p, m, None)
+            op, first, second = _min_kernel(succ, p, m, None, dtype)
+            assert np.array_equal(values.view(np.uint64), expected.view(np.uint64)), p is None
+            assert np.array_equal(op.view(np.uint64), values.view(np.uint64)), p is None
+            assert first.dtype == second.dtype == dtype
+            assert np.all((0 <= first) & (first < m)), p is None
+            assert np.array_equal(succ[rows, first].view(np.uint64), head[:, 0].view(np.uint64))
+            pred = second == PRED
+            assert p is not None or not pred.any()
+            assert np.all(pred | ((0 <= second) & (second < m) & (second != first)))
+            # at PRED, `second` indexes the last column; np.where drops it
+            attained = np.where(pred, branch, (succ[rows, first] + succ[rows, second]) / 2.0)
+            assert np.array_equal(attained, op), p is None
+
+    def test_improve_folds_the_defect(self):
+        """On tied integer data the policy step returns the defect of `_defect`
+        and the flat index where it peaks, with and without an obstacle."""
+        rng = np.random.default_rng(151)
+        for m, depth in [(2, 6), (3, 4), (5, 3)]:
+            tree = TruncatedTree(m, depth)
+            values = rng.integers(-2, 3, tree.vertex_count).astype(float)
+            obstacle = rng.integers(-2, 3, tree.vertex_count).astype(float)
+            for f in (None, obstacle):
+                worst, at, changed = _ConvexPolicy(tree, f).improve(values)
+                assert (worst, at) == _defect(tree, values, "convex", None, f), (m, f is None)
+                assert changed
 
     @pytest.mark.parametrize("m,depth", [(2, 9), (3, 6), (5, 4)])
     def test_tied_data_against_jacobi(self, m, depth):
@@ -417,17 +441,25 @@ class TestPolicyStep:
             assert np.array_equal(mask_a, mask_again), label
 
     def test_no_partition(self, monkeypatch):
+        """Convex and binary solves, Dirichlet and obstacle, and both operator
+        checks run the column pass, never a partition; kconvex still does."""
         def refuse(*args, **kwargs):
-            raise AssertionError("the policy step must not partition")
+            raise AssertionError("the convex and binary minimum must not partition")
 
+        monkeypatch.setattr(np, "partition", refuse)
         monkeypatch.setattr(np, "argpartition", refuse)
         rng = np.random.default_rng(149)
-        for m, depth in [(2, 6), (3, 4), (5, 3)]:
+        for m, depth in [(2, 6), (3, 4), (5, 3), (8, 2)]:
             tree = TruncatedTree(m, depth)
-            assert solve_dirichlet(tree, rng.uniform(0, 1, tree.leaf_count),
-                                   SolveConfig()).converged
+            g = rng.uniform(0, 1, tree.leaf_count)
             f = TreeFunction.from_values(tree, rng.standard_normal(tree.vertex_count))
-            assert solve_obstacle(f, SolveConfig()).report.converged
+            for variant, check in [("convex", is_convex_operator), ("binary", is_binary_convex)]:
+                cfg = SolveConfig(variant=variant)
+                report = solve_dirichlet(tree, g, cfg)
+                assert report.converged and check(report.solution).ok, variant
+                assert solve_obstacle(f, cfg).report.converged, variant
+            with pytest.raises(AssertionError, match="must not partition"):
+                solve_dirichlet(tree, g, SolveConfig(variant="kconvex", k=2))
 
 
 class TestConfig:
@@ -566,11 +598,30 @@ class TestResidual:
                 assert residual(bumped, "convex") >= delta * m / (m + 1) - base - 1e-12
 
     def test_nan_is_the_worst_defect(self):
+        # `residual` refuses a NaN; the solver's defect meets one on overflow
         tree = TruncatedTree(2, 3)
         for flat in (0, 3, tree.interior_count - 1, tree.vertex_count - 1):
             values = np.zeros(tree.vertex_count)
             values[flat] = np.nan
-            assert np.isnan(residual(TreeFunction(tree, values), "convex")), flat
+            assert np.isnan(_defect(tree, values, "convex", None)[0]), flat
+
+    def test_function_validated(self):
+        """A directly built function with a value too many or too few, or a
+        value that is not finite, is refused with `validate`'s message, by
+        `residual` and `solve_obstacle` alike."""
+        tree = TruncatedTree(2, 3)
+        n = tree.vertex_count
+        bad = [(np.zeros(n + 3), f"expected {n} values for m=2, depth=3, got shape \\({n + 3},\\)"),
+               (np.zeros(n - 1), f"expected {n} values for m=2, depth=3, got shape \\({n - 1},\\)"),
+               (np.where(np.arange(n) == 5, np.nan, 0.0), "values must be finite"),
+               (np.where(np.arange(n) == 5, np.inf, 0.0), "values must be finite")]
+        for values, message in bad:
+            u = TreeFunction(tree, values)
+            with pytest.raises(ValueError, match=message):
+                residual(u, "convex")
+            for variant in ("convex", "binary"):
+                with pytest.raises(ValueError, match=message):
+                    solve_obstacle(u, SolveConfig(variant=variant))
 
     def test_variant_validation(self):
         tree = TruncatedTree(2, 2)
