@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "_kernels": ("ENVELOPE_VARIANTS", "LAPLACIAN_VARIANTS"),
-    "boundary": ("BoundaryDatum", "ConvergenceSeries", "convergence_study", "leaf_psi_values",
-                 "load_datum_csv", "parse_datum", "sample_leaves"),
+    "boundary": ("BoundaryDatum", "ConvergenceSeries", "convergence_study", "load_datum_csv",
+                 "parse_datum", "sample_leaves"),
     "convexity": ("ConvexityCheck", "arborescence_laplacian", "eigenvalues_binary",
                   "eigenvalues_convex", "eigenvalues_k", "is_binary_convex",
                   "is_convex_operator", "is_convex_segment", "laplacian_residual", "op_binary",
@@ -21,7 +21,7 @@ _EXPORTS = {
     "functions": ("TreeFunction",),
     "solver": ("ObstacleResult", "SolveConfig", "SolveReport", "residual", "solve_dirichlet",
                "solve_obstacle"),
-    "tree": ("TruncatedTree", "Vertex", "psi"),
+    "tree": ("TruncatedTree", "Vertex", "leaf_psi_values", "psi"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "cli")

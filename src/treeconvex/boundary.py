@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .functions import csv_rows
 from .solver import SolveConfig, solve_dirichlet
-from .tree import TruncatedTree, Vertex
+from .tree import TruncatedTree, Vertex, leaf_psi_values
 
 CONVERGENCE_LEAF_BUDGET = 2**24
 SUBSAMPLE_BUDGET = 2**16  # inf mode's N; each block holds about 2^20 points
@@ -106,16 +107,6 @@ def _knot_error(pts) -> tuple[int, str] | None:
     return None
 
 
-def csv_rows(path: str, reader):
-    """The rows of a csv reader; a row the csv module refuses, such as a
-    cell longer than `csv.field_size_limit()`, raises a ValueError naming
-    its file line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc
-
-
 def load_datum_csv(path: str) -> BoundaryDatum:
     """Piecewise-linear datum file: header "t,g", strictly increasing t,
     first t = 0, last t = 1."""
@@ -169,11 +160,6 @@ def parse_datum(spec: str) -> BoundaryDatum:
     if os.path.exists(spec):
         return load_datum_csv(spec)
     raise ValueError(f"datum {spec!r} is neither a builtin family nor an existing file")
-
-
-def leaf_psi_values(tree: TruncatedTree) -> np.ndarray:
-    """psi of each leaf in index order: k / m^depth."""
-    return np.arange(tree.leaf_count, dtype=np.float64) / float(tree.m**tree.depth)
 
 
 def sample_leaves(g: BoundaryDatum, tree: TruncatedTree,

@@ -27,10 +27,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from ._kernels import ENVELOPE_VARIANTS
-from .boundary import convergence_study, csv_rows, leaf_psi_values, parse_datum, sample_leaves
-from .functions import TreeFunction
-from .solver import SolveConfig, solve_dirichlet, solve_obstacle
-from .tree import TruncatedTree, Vertex
+from .functions import TreeFunction, csv_rows
+from .tree import TruncatedTree, Vertex, leaf_psi_values
+
+# Each command imports the layers it runs (`check` needs no solver).
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,21 +121,21 @@ def read_function_csv(path: str, tree: TruncatedTree) -> TreeFunction:
     whole truncated tree exactly once.  Errors name the file line of the row.
 
     A file whose vertex column is `tree.labels()` in flat order, with a
-    finite number in every value cell, is read by column with NumPy's
-    tokenizer.  Every other file is read row by row, which gives the same
-    values and is the one source of every error message.  The file is read
-    once, so a pipe serves as well as a file on disk."""
+    finite number in every value cell, is read by column in one pass of
+    NumPy's tokenizer.  Every other file is read row by row, which gives the
+    same values and is the one source of every error message.  The file is
+    read once, so a pipe serves as well as a file on disk."""
     with open(path, "rb") as fh:
         data = fh.read()
     with _text(data) as fh:
         header = next(csv_rows(path, csv.reader(fh)), None)
-    if header is None or not {"vertex", "value"} <= set(header):
-        raise ValueError(f"{path}: expected columns 'vertex' and 'value'")
-    for column in ("vertex", "value"):
-        if header.count(column) > 1:
-            raise ValueError(f"{path}: duplicate column {column!r}")
-    cells = {"vertex": header.index("vertex"), "value": header.index("value")}
-    values = _read_columns(data, tree, cells)
+        if header is None or not {"vertex", "value"} <= set(header):
+            raise ValueError(f"{path}: expected columns 'vertex' and 'value'")
+        for column in ("vertex", "value"):
+            if header.count(column) > 1:
+                raise ValueError(f"{path}: duplicate column {column!r}")
+        cells = {"vertex": header.index("vertex"), "value": header.index("value")}
+        values = _read_columns(data, fh, tree, cells)
     if values is None:
         values = _read_rows(data, path, tree, cells)
     return TreeFunction.from_values(tree, values)
@@ -147,29 +147,41 @@ def _text(data: bytes) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BytesIO(data), newline="")
 
 
-def _read_columns(data: bytes, tree: TruncatedTree, cells: dict[str, int]) -> np.ndarray | None:
-    """The values of a canonical file, or None when the file is not
-    canonical or a cell does not parse.  Each column is tokenized in a pass
-    of its own, so only one column's cells are held at a time."""
-    try:
-        if _column(data, cells["vertex"]).tolist() != _labels(tree):
-            return None
-        # an object-to-float cast calls float() on each cell
-        values = _column(data, cells["value"]).astype(np.float64)
-    except ValueError:
+def _read_columns(data: bytes, fh, tree: TruncatedTree, cells: dict) -> np.ndarray | None:
+    """The values of a canonical file, read in one tokenizer pass over `fh`,
+    or None when the file is not canonical or a cell does not parse.  Vertex
+    cells are bytes one wider than the longest label ("root" or the last
+    leaf's), so that a longer cell cannot be cut to a label.  A NUL (dropped
+    at the end of a bytes cell) or a non-ASCII byte (read unlike `float()`
+    and the locale decode) leaves the file to the row scan."""
+    if not data.isascii() or b"\0" in data or _may_pass_field_limit(data):
         return None
-    return values if np.isfinite(values).all() else None
-
-
-def _column(data: bytes, cell: int) -> np.ndarray:
-    """The cells of one column below the header, each the str that the csv
-    module reads (dtype=str would drop trailing NUL characters)."""
-    with _text(data) as fh, warnings.catch_warnings():
+    labels = _labels(tree)
+    kinds = {"vertex": f"S{max(len(labels[0]), len(labels[-1])) + 1}", "value": np.float64}
+    order = sorted(cells, key=cells.get)  # the fields follow the file's columns
+    with warnings.catch_warnings():
         # blank lines and a file without rows warn; the row scan reads both
         warnings.simplefilter("ignore", UserWarning)
-        next(csv.reader(fh))
-        return np.loadtxt(fh, dtype=object, delimiter=",", comments=None, quotechar='"',
-                          usecols=cell, ndmin=1)
+        try:
+            table = np.loadtxt(fh, dtype=[(c, kinds[c]) for c in order], delimiter=",",
+                               comments=None, quotechar='"', usecols=[cells[c] for c in order])
+        except ValueError:
+            return None
+    if not np.array_equal(table["vertex"], np.array(labels, dtype=kinds["vertex"])):
+        return None
+    return table["value"] if np.isfinite(table["value"]).all() else None
+
+
+def _may_pass_field_limit(data: bytes) -> bool:
+    """Whether a cell of `data` may be longer than `csv.field_size_limit()`,
+    which only the row scan refuses.  A quoted cell may span lines; any
+    other lies within a line, and a line longer than the limit holds a whole
+    window of `step` bytes without a line break."""
+    limit = csv.field_size_limit()
+    step = limit // 2 + 1
+    return len(data) > limit and (b'"' in data or any(
+        data.find(b"\n", i, i + step) < 0 and data.find(b"\r", i, i + step) < 0
+        for i in range(0, len(data) - step + 1, step)))
 
 
 def _read_rows(data: bytes, path: str, tree: TruncatedTree, cells: dict[str, int]) -> np.ndarray:
@@ -226,7 +238,8 @@ def _parse_sampling(spec: str) -> int | None:
     raise ValueError(f"sampling must be 'point' or 'inf:N', got {spec!r}")
 
 
-def _build_config(args: argparse.Namespace) -> SolveConfig:
+def _build_config(args: argparse.Namespace):
+    from .solver import SolveConfig
     return SolveConfig(variant=VARIANT_NAMES[args.variant], k=args.k, tol=args.tol,
                        max_iter=args.max_iter)
 
@@ -270,6 +283,8 @@ def _exit_code(report) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .boundary import parse_datum, sample_leaves
+    from .solver import solve_dirichlet
     cfg = _build_config(args)
     tree = TruncatedTree(args.m, args.depth)
     datum = parse_datum(args.datum)
@@ -301,7 +316,6 @@ def _check_payload(check, labels: list[str]) -> dict:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    # the only command that needs the predicates
     from .convexity import is_binary_convex, is_convex_operator, is_convex_segment
 
     tree = TruncatedTree(args.m, args.depth)
@@ -330,6 +344,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_obstacle(args: argparse.Namespace) -> int:
+    from .solver import solve_obstacle
     cfg = _build_config(args)
     tree = TruncatedTree(args.m, args.depth)
     f = read_function_csv(args.obstacle, tree)
@@ -360,6 +375,7 @@ def cmd_obstacle(args: argparse.Namespace) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
+    from .boundary import convergence_study, parse_datum
     cfg = _build_config(args)
     datum = parse_datum(args.datum)
     subsamples = _parse_sampling(args.sampling)

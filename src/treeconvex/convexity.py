@@ -20,7 +20,6 @@ on digit tuples, with exact distances, as the test reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -347,6 +346,8 @@ def reference_convex_indicator(tree: TruncatedTree, x0: Vertex) -> TreeFunction:
     m = 2 it satisfies u <= op_convex(u) everywhere, with equality except
     at the root when |x0| = 1, where op_convex(u) - u = (m-1)/(2m) = 1/4.
     """
+    from fractions import Fraction  # imported on call: no CLI command calls this
+
     tree._check_member(x0)
     if x0.is_root:
         raise ValueError("the reference indicator requires a non-root vertex")

@@ -1,7 +1,9 @@
-"""Real-valued functions on a truncated tree (one value per vertex)."""
+"""Real-valued functions on a truncated tree (one value per vertex), and the
+rows of the CSV files that give functions."""
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,3 +52,13 @@ class TreeFunction:
 
     def copy(self) -> TreeFunction:
         return TreeFunction(self.tree, self.values.copy())
+
+
+def csv_rows(path: str, reader):
+    """The rows of a csv reader; a row the csv module refuses, such as a
+    cell longer than `csv.field_size_limit()`, raises a ValueError naming
+    its file line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc

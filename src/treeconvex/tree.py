@@ -13,6 +13,8 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -90,6 +92,11 @@ def psi(v: Vertex) -> Fraction:
     from fractions import Fraction  # imported on call: no CLI command calls psi
 
     return Fraction(v.index, v.m**v.level)
+
+
+def leaf_psi_values(tree: TruncatedTree) -> np.ndarray:
+    """psi of each leaf in index order: k / m^depth."""
+    return np.arange(tree.leaf_count, dtype=np.float64) / float(tree.m**tree.depth)
 
 
 def _vertex_budget() -> int:

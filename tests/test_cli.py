@@ -101,6 +101,11 @@ def reader_corpus():
         ("label 00", edit(at("0"), f"00,{texts[at('0')]}"), False),
         ("label space 1", edit(at("1"), f" 1,{texts[at('1')]}"), False),
         ("label 1.02", edit(at("1.2"), f"1.02,{texts[at('1.2')]}"), False),
+        # one character wider than the widest digit label, and than "root":
+        # the vertex field is one wider than the longest label, so neither
+        # cell is cut down to a label
+        ("label 2.22", edit(at("2.2"), f"2.22,{texts[at('2.2')]}"), False),
+        ("label roots", edit(0, f"roots,{texts[0]}"), False),
         ("extra columns", rows([f"{r},x,7" for r in base], "vertex,value,a,b"), True),
         ("reordered columns", rows([f"{x},7,{v}" for v, x in zip(labels, texts)],
                                    "value,a,vertex"), True),
@@ -131,8 +136,9 @@ def reader_corpus():
         ("NUL after label", edit(7, f"{labels[7]}\x00,{texts[7]}"), False),
         ("NUL inside value", edit(7, f"{labels[7]},1\x005"), False),
         # values
-        ("underscore", edit(8, f"{labels[8]},1_0"), True),
-        ("non-ASCII digits", edit(8, f"{labels[8]},\u0661\u0662.\u0665"), True),
+        ("underscore", edit(8, f"{labels[8]},1_0"), False),
+        ("non-ASCII digits", edit(8, f"{labels[8]},\u0661\u0662.\u0665"), False),
+        ("no-break spaces", edit(8, f"{labels[8]},\u00a0{texts[8]}\u00a0"), False),
         ("nan", edit(8, f"{labels[8]},nan"), False),
         ("inf", edit(8, f"{labels[8]},-inf"), False),
         ("1e400", edit(8, f"{labels[8]},1e400"), False),
@@ -474,7 +480,9 @@ class TestCheck:
         # a cell longer than the csv module's field limit was an uncaught
         # csv.Error (a traceback and exit 1); it names its row and exits 2
         tree = TruncatedTree(2, 2)
-        long = "0." + "0" * max(140_000, csv.field_size_limit()) + "1"
+        limit = csv.field_size_limit()
+        long = "0." + "0" * max(140_000, limit) + "1"
+        spanning = '"0.5' + "\n" * limit + '"'
         rows = [f"{v},0" for v in oracles.vertices(tree)]
         fn = tmp_path / "f.csv"
         flag = "--function" if command == "check" else "--obstacle"
@@ -484,7 +492,14 @@ class TestCheck:
                 # the rows out of flat order send a number the row scan
                 ("vertex,value\n" + "\n".join(rows[::-1][:4] + [rows[2][:-1] + long]
                                                + rows[::-1][5:]) + "\n", 6),
-                (f"vertex,value,{long}\n" + "\n".join(rows) + "\n", 1)]:
+                (f"vertex,value,{long}\n" + "\n".join(rows) + "\n", 1),
+                # in flat order, with a long value that parses as a number
+                ("vertex,value\n" + "\n".join(rows[:2] + [rows[2][:-1] + long]
+                                               + rows[3:]) + "\n", 4),
+                # a quoted value of short lines, longer than the limit in all:
+                # "0.5" and the newlines that end lines 4 to limit + 1 pass it
+                ("vertex,value\n" + "\n".join(rows[:2] + [rows[2][:-1] + spanning]
+                                               + rows[3:]) + "\n", limit + 1)]:
             fn.write_text(text)
             assert run(command, "--m", "2", "--depth", "2", flag, str(fn)) == 2
             err = capsys.readouterr().err

@@ -76,9 +76,11 @@ class TestLazyPackage:
             treeconvex.no_such_name
 
 
+DEFERRED = ("treeconvex.boundary", "treeconvex.convexity", "treeconvex.solver", "fractions",
+            "decimal")
 LOADED = ("import json, sys\nfrom treeconvex import cli\ncode = cli.main(sys.argv[1:])\n"
           "print(json.dumps([code, 'numpy' in sys.modules, "
-          "[m for m in ('treeconvex.convexity', 'fractions') if m in sys.modules]]))")
+          f"[m for m in {DEFERRED!r} if m in sys.modules]]))")
 
 
 class TestCliStartup:
@@ -112,4 +114,10 @@ class TestCliStartup:
         }[command]
         code, numpy_loaded, loaded = fresh(LOADED, command, "--m", "2", *argv, cwd=tmp_path)
         assert code == 0 and numpy_loaded
-        assert loaded == (["treeconvex.convexity", "fractions"] if command == "check" else [])
+        # of DEFERRED, a command loads the layers it runs and nothing else
+        assert loaded == {
+            "solve": ["treeconvex.boundary", "treeconvex.solver"],
+            "obstacle": ["treeconvex.solver"],
+            "converge": ["treeconvex.boundary", "treeconvex.solver"],
+            "check": ["treeconvex.convexity"],
+        }[command]
