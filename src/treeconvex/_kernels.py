@@ -44,7 +44,8 @@ def check_variant(variant: str, k: int | None, m: int | None = None) -> None:
 
 
 # Row kernels: `succ` holds one row of successor values per vertex, `par` the
-# parent value repeated per row, or None at the root and for the variants
+# parent values as a column, one per run of consecutive rows that share a
+# parent (broadcast, not repeated), or None at the root and for the variants
 # that read only the successor level.  `_min_kernel` is the one code of the
 # convex and binary minimum: it serves the sweeps, the defect, the lift and
 # `check`, and with its choice codes the Howard policy step.
@@ -73,7 +74,8 @@ def _min_kernel(succ: np.ndarray, par: np.ndarray | None, m: int, k: int | None,
     if codes is not None:
         first = (succ[:, 1] < succ[:, 0]).astype(codes)
         second = 1 - first
-    buf = np.empty_like(s0)
+    if m > 2:
+        buf = np.empty_like(s0)
     for col in range(2, m):
         v = succ[:, col]
         if codes is not None:
@@ -87,7 +89,8 @@ def _min_kernel(succ: np.ndarray, par: np.ndarray | None, m: int, k: int | None,
     op /= 2.0
     if par is not None:
         branch = np.multiply(s0, m, out=s0)
-        branch += par
+        by_parent = branch.reshape(len(par), -1)
+        by_parent += par
         branch /= m + 1
         if codes is not None:
             _assign(second, branch < op, PRED)
@@ -106,7 +109,7 @@ def _mean_kernel(succ: np.ndarray, par: np.ndarray | None, m: int, k: int | None
     if par is None:
         return mean
     c_pred, c_succ = full_laplacian_weights(m)
-    return c_pred * par + c_succ * mean
+    return (c_pred * par + (c_succ * mean).reshape(len(par), -1)).ravel()
 
 
 # variant -> (row kernel, reads the parent level)
@@ -134,7 +137,7 @@ def level_operator(tree: TruncatedTree, values: np.ndarray, level: int, variant:
     succ = values[tree.level_slice(level + 1)].reshape(tree.level_size(level), m)
     par = None
     if reads_parent and level > 0:
-        par = np.repeat(values[tree.level_slice(level - 1)], m)
+        par = values[tree.level_slice(level - 1), None]
     return kernel(succ, par, m, k) if codes is None else kernel(succ, par, m, k, codes)
 
 

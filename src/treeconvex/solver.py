@@ -5,14 +5,15 @@ Every solve starts from the pointwise largest admissible state (the sup of
 the leaf data, or the obstacle itself) and descends to the largest solution,
 exactly.  Binary, kconvex and the arborescence Laplacian read only the
 successor level, so one leaves-to-root Gauss-Seidel pass solves them, with or
-without an obstacle.  The full-tree Laplacian is one call of the tree
-primitive `_eliminate`, O(n) with no fill-in.  The convex equation is a
-minimum of such linear systems, one per choice at each vertex (pair,
-predecessor branch, or the obstacle); Howard policy iteration solves the
-system of the argmin choice at the iterate until the defect is within tol or
-the policy repeats.  The policy step takes its choices from the row kernel
-that evaluates the operator everywhere else, in the same operator pass that
-gives the defect; of tied successors it picks the earliest column.  Each
+without an obstacle.  The full-tree Laplacian is one pass of the tree
+primitive, `_eliminate` and `_back_substitute`, O(n) with no fill-in.  The
+convex equation is a minimum of such linear systems, one per choice at each
+vertex (pair, predecessor branch, or the obstacle); Howard policy iteration
+solves the system of the argmin choice at the iterate until the defect is
+within tol or the policy repeats, eliminating again only from the deepest
+level whose choices changed.  The policy step takes its choices from the row
+kernel that evaluates the operator everywhere else, in the same operator pass
+that gives the defect; of tied successors it picks the earliest column.  Each
 iterate is a supersolution of the next policy's system, so the evaluations
 descend.  The rounding of an evaluation grows with the size of the data;
 when it leaves the defect above tol, Gauss-Seidel sweeps from a float
@@ -154,29 +155,59 @@ def _iterate(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
                        monotone, tree.vertex_at(worst), change)
 
 
-def _eliminate(tree: TruncatedTree, values: np.ndarray, alpha: np.ndarray, system) -> None:
-    """The tree primitive: solve u(x) = a_x u(parent) + sum_c w_xc u(c) + b_x
-    at every interior vertex, with the leaves of `values` clamped.
+def _eliminate(tree: TruncatedTree, values: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+               system, level: int | None = None) -> None:
+    """The tree primitive, leaves to root: write the solution of u(x) =
+    a_x u(parent) + sum_c w_xc u(c) + b_x at every interior vertex, with
+    the leaves of `values` clamped, as rows u(x) = alpha_x u(parent) +
+    beta_x in `alpha` and `beta` (interior only; a leaf's alpha is 0, its
+    beta its value).  The root's alpha is 0; `_back_substitute` solves.
 
-    Leaves to root, each vertex is written as u(x) = alpha_x u(parent) +
-    beta_x, with beta stored in `values` and alpha in `alpha` (interior
-    only; a leaf's alpha is 0); root to leaves, u(x) is then substituted
-    back.  `system(level, alpha_succ, beta_succ)` builds one level's
-    coefficients from its successors' rows when the elimination reaches it
-    (alpha_succ is None above the leaves): a_x, sum_c w_xc alpha_c and
-    sum_c w_xc beta_c + b_x.
+    A row depends only on the equations at and below its vertex, so the
+    rows are written from `level` (default: the deepest interior level) up
+    to the root, and deeper rows are kept from the last call.
+    `system(level, alpha_succ, beta_succ, alpha_row, beta_row)` writes one
+    level's sum_c w_xc alpha_c into `alpha_row` (which holds zeros above the
+    leaves, where alpha_succ is None) and sum_c w_xc beta_c + b_x into
+    `beta_row`, from its successors' rows, and returns a_x.
     """
-    m = tree.m
-    for level in range(tree.depth - 1, -1, -1):
+    m, last = tree.m, tree.depth - 1
+    for level in range(last if level is None else level, -1, -1):
         n, sl, succ = tree.level_size(level), tree.level_slice(level), tree.level_slice(level + 1)
-        alpha_succ = None if level == tree.depth - 1 else alpha[succ].reshape(n, m)
-        a, s_alpha, s_beta = system(level, alpha_succ, values[succ].reshape(n, m))
-        pivot = 1.0 - s_alpha
-        alpha[sl] = a / pivot
-        values[sl] = s_beta / pivot
-    for level in range(1, tree.depth):
+        if level == last:
+            alpha_succ, beta_succ = None, values[succ].reshape(n, m)
+            alpha[sl] = 0.0
+        else:
+            alpha_succ, beta_succ = alpha[succ].reshape(n, m), beta[succ].reshape(n, m)
+        a = system(level, alpha_succ, beta_succ, alpha[sl], beta[sl])
+        pivot = np.subtract(1.0, alpha[sl], out=alpha[sl])
+        beta[sl] /= pivot
+        np.divide(a, pivot, out=alpha[sl])
+
+
+def _back_substitute(tree: TruncatedTree, values: np.ndarray, alpha: np.ndarray,
+                     beta: np.ndarray, slack: float) -> tuple[float, bool]:
+    """Root to leaves, the solution u(x) = alpha_x u(parent) + beta_x of the
+    rows `_eliminate` wrote, each level from the level above as solved, into
+    an interior of `values` that holds the previous iterate: every vertex
+    keeps the smaller of the two.  Returns the sup-norm change and whether
+    no vertex rose above the previous iterate by more than `slack`."""
+    change, within = 0.0, True
+    new = beta[:1].copy()
+    for level in range(tree.depth):
         sl = tree.level_slice(level)
-        values[sl] += alpha[sl] * np.repeat(values[tree.level_slice(level - 1)], m)
+        if level:
+            new = np.multiply(alpha[sl].reshape(len(new), -1), new[:, None]).ravel()
+            new += beta[sl]
+        prev = values[sl]
+        kept = np.add(prev, slack)
+        within = within and bool(np.all(new <= kept))
+        np.minimum(new, prev, out=kept)
+        drop = np.subtract(prev, kept, out=prev)  # then overwritten by `kept`
+        # np.maximum keeps a NaN change, which the builtin max drops
+        change = float(np.maximum(change, np.max(drop)))
+        prev[...] = kept
+    return change, within
 
 
 def _laplacian_system(tree: TruncatedTree):
@@ -184,10 +215,12 @@ def _laplacian_system(tree: TruncatedTree):
     root uses the successor-average rule."""
     c_pred, c_succ = full_laplacian_weights(tree.m)
 
-    def system(level, alpha_succ, beta_succ):
+    def system(level, alpha_succ, beta_succ, alpha_row, beta_row):
         a, w = (c_pred, c_succ) if level > 0 else (0.0, 1.0)
-        s_alpha = 0.0 if alpha_succ is None else w * alpha_succ.mean(axis=1)
-        return a, s_alpha, w * beta_succ.mean(axis=1)
+        if alpha_succ is not None:
+            np.multiply(w, alpha_succ.mean(axis=1), out=alpha_row)
+        np.multiply(w, beta_succ.mean(axis=1), out=beta_row)
+        return a
 
     return system
 
@@ -205,41 +238,59 @@ class _ConvexPolicy:
         self.first = np.zeros(tree.interior_count, dtype)
         self.second = np.zeros(tree.interior_count, dtype)
 
-    def improve(self, values: np.ndarray) -> tuple[float, int, bool]:
+    def improve(self, values: np.ndarray) -> tuple[float, int, int]:
         """Store at every interior vertex the choice that attains the operator
         at `values`.  Returns the defect of `values` and its flat index, as
-        `_defect` does, and whether any stored choice changed."""
-        worst, at, changed = -1.0, 0, False
-        for sl, op, first, second in operator_levels(self.tree, values, "convex", None,
-                                                     self.obstacle, self.first.dtype):
+        `_defect` does, and the deepest level whose stored choices changed
+        (-1 if none did)."""
+        worst, at, deepest = -1.0, 0, -1
+        for level, (sl, op, first, second) in enumerate(operator_levels(
+                self.tree, values, "convex", None, self.obstacle, self.first.dtype)):
             if not (np.array_equal(first, self.first[sl])
                     and np.array_equal(second, self.second[sl])):
-                changed = True
+                deepest = level
                 self.first[sl], self.second[sl] = first, second
             worst, at = _peak(values[sl], op, sl.start, worst, at)
-        return worst, at, changed
+        return worst, at, deepest
 
-    def system(self, level: int, alpha_succ, beta_succ):
-        """Level coefficients of the stored policy's equation for `_eliminate`."""
+    def system(self, level: int, alpha_succ, beta_succ, alpha_row, beta_row):
+        """Level coefficients of the stored policy's equation for `_eliminate`,
+        written into the level's rows.
+
+        The chosen successors are read by one gather per code column, through
+        flat indices built in place; at m = 2 a pair is both columns, so only
+        the predecessor branch reads `first`.  Rows whose code is not a column
+        (TOUCH, or PRED in `second`) read a neighbour and are overwritten."""
         m = self.tree.m
         sl = self.tree.level_slice(level)
         first, second = self.first[sl], self.second[sl]
-        touch, branch = first == TOUCH, second == PRED
-        rows = np.arange(0, beta_succ.size, m)
-        j0 = rows + np.where(touch, 0, first)
-        j1 = np.where(touch | branch, j0, rows + second)
+        branch = second == PRED
 
-        def weigh(succ):  # sum_c w_xc succ_c
+        def column(codes):  # flat index of each row's code column
+            index = np.arange(0, len(codes) * m, m)
+            index += codes
+            return index
+
+        j0, j1 = column(first), column(second) if m > 2 else None
+
+        def weigh(succ, out):  # sum_c w_xc succ_c
             flat = succ.ravel()
-            return np.where(branch, flat[j0] * (m / (m + 1)), (flat[j0] + flat[j1]) / 2.0)
+            head = flat.take(j0, mode="clip")
+            if j1 is None:
+                np.add(succ[:, 0], succ[:, 1], out=out)
+            else:
+                np.add(head, flat.take(j1, mode="clip"), out=out)
+            out /= 2.0
+            np.multiply(head, m / (m + 1), out=out, where=branch)
 
-        a = np.where(branch, 1.0 / (m + 1), 0.0)
-        s_alpha = np.zeros(len(rows)) if alpha_succ is None else weigh(alpha_succ)
-        s_beta = weigh(beta_succ)
+        if alpha_succ is not None:
+            weigh(alpha_succ, alpha_row)
+        weigh(beta_succ, beta_row)
         if self.obstacle is not None:
-            a[touch] = s_alpha[touch] = 0.0
-            s_beta[touch] = self.obstacle[sl][touch]
-        return a, s_alpha, s_beta
+            touch = first == TOUCH
+            np.copyto(alpha_row, 0.0, where=touch)
+            np.copyto(beta_row, self.obstacle[sl], where=touch)
+        return np.where(branch, 1.0 / (m + 1), 0.0)
 
 
 def _lift(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
@@ -247,7 +298,7 @@ def _lift(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
     """Raise the interior of `values` to a float supersolution, u >=
     min(obstacle, operator(u)) at every interior vertex, by adding
     c * (depth - level), doubling c until it holds.
-    `base` is an interior-size buffer.
+    `base` is a free interior-size buffer.
 
     The lift falls by c per level towards the leaves, so every choice of
     either operator lowers it by a fixed fraction of c, and a lift well above
@@ -267,33 +318,33 @@ def _howard(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
             obstacle: np.ndarray | None = None) -> SolveReport:
     """The direct engine for the variants that read the parent level, on
     `values` (leaves clamped, interior at its initial state): one exact
-    solve for laplacian_full, Howard policy iteration for convex."""
+    solve for laplacian_full, Howard policy iteration for convex.  An
+    evaluation eliminates again only from the deepest level whose policy
+    changed."""
     interior = tree.interior_slice
     policy = _ConvexPolicy(tree, obstacle) if cfg.variant == "convex" else None
     system = _laplacian_system(tree) if policy is None else policy.system
-    alpha, prev = np.empty(tree.interior_count), np.empty(tree.interior_count)
+    alpha, beta = np.empty(tree.interior_count), np.empty(tree.interior_count)
     if policy is not None:
         policy.improve(values)
-    iterations, monotone = 0, True
+    iterations, monotone, changed = 0, True, tree.depth - 1
     while True:
-        prev[:] = values[interior]
-        _eliminate(tree, values, alpha, system)
+        _eliminate(tree, values, alpha, beta, system, changed)
         iterations += 1
         # In exact arithmetic an evaluation never rises above the previous
         # iterate, but rounding can lift it by a few ulps of the data: only a
         # rise beyond tol plus 4 ulps per level counts against `monotone`,
         # and the iterate keeps the smaller value, so the descent stays exact.
-        new = values[interior]
+        prev = values[interior]
         rounding = 4 * tree.depth * np.spacing(max(-prev.min(), prev.max()))
-        monotone = monotone and bool(np.all(new <= prev + (cfg.tol + rounding)))
-        np.minimum(new, prev, out=new)
-        change = float(np.max(prev - new))
+        change, within = _back_substitute(tree, values, alpha, beta, cfg.tol + rounding)
+        monotone = monotone and within
         if policy is None:
-            (defect, worst), changed = _defect(tree, values, cfg.variant, cfg.k), False
+            (defect, worst), changed = _defect(tree, values, cfg.variant, cfg.k), -1
         else:
             defect, worst, changed = policy.improve(values)
         # An unchanged policy would evaluate to the same iterate again.
-        if not (defect > cfg.tol and changed and iterations < cfg.max_iter):
+        if not (defect > cfg.tol and changed >= 0 and iterations < cfg.max_iter):
             break
     if np.isfinite(defect) and defect > cfg.tol and iterations < cfg.max_iter:
         # The policy is optimal, but the rounding of its evaluation grows with
@@ -301,7 +352,7 @@ def _howard(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
         # sweeps from a float supersolution just above the iterate descend to
         # a float fixed point, as the reference engines do from the sup.  The
         # lift is not an evaluation and does not count against `monotone`.
-        _lift(tree, values, cfg, obstacle, defect, prev)
+        _lift(tree, values, cfg, obstacle, defect, alpha)
         rest = _iterate(tree, values, replace(cfg, max_iter=cfg.max_iter - iterations), obstacle)
         return replace(rest, iterations=iterations + rest.iterations,
                        monotone=monotone and rest.monotone)

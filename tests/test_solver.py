@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from treeconvex import (
     Vertex,
     is_binary_convex,
     is_convex_operator,
+    leaf_psi_values,
     op_convex,
     reference_convex_indicator,
     residual,
@@ -21,7 +24,13 @@ from treeconvex import (
     solve_obstacle,
 )
 from treeconvex._kernels import PRED, TOUCH, _min_kernel
-from treeconvex.solver import _ConvexPolicy, _defect, _eliminate, _laplacian_system
+from treeconvex.solver import (
+    _back_substitute,
+    _ConvexPolicy,
+    _defect,
+    _eliminate,
+    _laplacian_system,
+)
 
 from engines import ENGINES, operator_values, solve
 
@@ -36,6 +45,15 @@ def leaf_average_oracle(tree: TruncatedTree, leaves: np.ndarray) -> np.ndarray:
         below = tree.m ** (tree.depth - level)
         values[tree.level_slice(level)] = leaves.reshape(tree.level_size(level), below).mean(axis=1)
     return values
+
+
+def evaluate(tree: TruncatedTree, values: np.ndarray, system) -> None:
+    """Solve the linear system `system` gives, with the leaves of `values`
+    clamped, into its interior, which must lie above the solution (inf
+    does): the back-substitution keeps the smaller value."""
+    alpha, beta = np.empty(tree.interior_count), np.empty(tree.interior_count)
+    _eliminate(tree, values, alpha, beta, system)
+    _back_substitute(tree, values, alpha, beta, 0.0)
 
 
 def solve_problems(engine, tree, g, f, cfg):
@@ -227,11 +245,10 @@ class TestDirect:
     def test_primitive_hand_examples(self):
         """m = 2, depth 2 (flat order root, 0, 1, 0.0, 0.1, 1.0, 1.1)."""
         tree = TruncatedTree(2, 2)
-        alpha = np.empty(tree.interior_count)
         # full Laplacian, leaves 0, 2, 4, 6: u(root) = (u(0) + u(1)) / 2 and
         # u(i) = 2/9 u(root) + 7/9 (leaf average); the root is the leaf mean 3
-        values = np.array([np.nan] * 3 + [0.0, 2.0, 4.0, 6.0])
-        _eliminate(tree, values, alpha, _laplacian_system(tree))
+        values = np.array([np.inf] * 3 + [0.0, 2.0, 4.0, 6.0])
+        evaluate(tree, values, _laplacian_system(tree))
         np.testing.assert_allclose(values[:3], [3.0, 13 / 9, 41 / 9], rtol=1e-15)
 
         # convex policy with the predecessor branch at vertex 0, leaves 0, 6, 6, 6:
@@ -239,8 +256,8 @@ class TestDirect:
         leaves = [0.0, 6.0, 6.0, 6.0]
         policy = _ConvexPolicy(tree, None)
         policy.first[:], policy.second[:] = [0, 0, 0], [1, PRED, 1]
-        values = np.array([np.nan] * 3 + leaves)
-        _eliminate(tree, values, alpha, policy.system)
+        values = np.array([np.inf] * 3 + leaves)
+        evaluate(tree, values, policy.system)
         np.testing.assert_allclose(values[:3], [18 / 5, 6 / 5, 6.0], rtol=1e-15)
         # the envelope takes the branch at both vertices: u(0) = u(root) / 3,
         # u(1) = (u(root) + 12) / 3, u(root) = 3
@@ -253,13 +270,32 @@ class TestDirect:
         f = TreeFunction.from_values(tree, [10.0, 0.5, 10.0] + leaves)
         policy = _ConvexPolicy(tree, f.values)
         policy.first[:], policy.second[:] = [0, TOUCH, 0], [1, TOUCH, PRED]
-        values = f.values.copy()
-        _eliminate(tree, values, alpha, policy.system)
+        values = np.array([np.inf] * 3 + leaves)
+        evaluate(tree, values, policy.system)
         expected = [27 / 10, 1 / 2, 49 / 10] + leaves
         np.testing.assert_allclose(values, expected, rtol=1e-15)
         result = solve_obstacle(f, SolveConfig())
         np.testing.assert_allclose(result.envelope.values, expected, rtol=1e-15)
         assert list(result.coincidence_mask) == [False, True, False, True, True, True, True]
+
+    def test_convex_solve_footprint(self):
+        """The convex solve holds the values, the alpha and beta rows and the
+        policy's codes (17 B per vertex at m = 2), and level-sized
+        temporaries besides: its tracemalloc peak stays under 26 B per
+        vertex.  Building each level's coefficients out of place, through
+        three index arrays and `np.where` copies, peaked at about 34 B."""
+        rng = np.random.default_rng(167)
+        for depth in (15, 16):
+            tree = TruncatedTree(2, depth)
+            for g in (leaf_psi_values(tree) ** 2, rng.uniform(0, 1, tree.leaf_count)):
+                tracemalloc.start()
+                try:
+                    report = solve_dirichlet(tree, g, SolveConfig())
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert report.converged
+                assert peak < 26 * tree.vertex_count, (depth, peak / tree.vertex_count)
 
     def test_rise_beyond_rounding_clears_monotone(self, monkeypatch):
         """Rounding can lift an evaluation a few ulps above the previous
@@ -273,9 +309,9 @@ class TestDirect:
         g = np.linspace(0, 1, tree.leaf_count) ** 2
         for scale, lift, monotone in [(1.0, 1e-13, True), (1.0, 1.0, False),
                                       (2.0**40, 2 * np.spacing(2.0**40), True)]:
-            def lifted(tree, values, alpha, system):
-                real(tree, values, alpha, system)
-                values[0] = scale + lift  # the root, above the sup-initialization
+            def lifted(tree, values, alpha, beta, *args):
+                real(tree, values, alpha, beta, *args)
+                beta[0] = scale + lift  # the root, above the sup-initialization
 
             monkeypatch.setattr(solver, "_eliminate", lifted)
             report = solve_dirichlet(tree, scale * g, SolveConfig(max_iter=1))
@@ -391,7 +427,8 @@ class TestPolicyStep:
         par = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=len(succ))
         branch = (par + m * head[:, 0]) / (m + 1)
         dtype = np.min_scalar_type(-m)
-        for p, expected in [(None, pair), (par, np.minimum(pair, branch))]:
+        # one parent per row, as a column
+        for p, expected in [(None, pair), (par[:, None], np.minimum(pair, branch))]:
             values = _min_kernel(succ, p, m, None)
             op, first, second = _min_kernel(succ, p, m, None, dtype)
             assert np.array_equal(values.view(np.uint64), expected.view(np.uint64)), p is None
@@ -415,9 +452,66 @@ class TestPolicyStep:
             values = rng.integers(-2, 3, tree.vertex_count).astype(float)
             obstacle = rng.integers(-2, 3, tree.vertex_count).astype(float)
             for f in (None, obstacle):
-                worst, at, changed = _ConvexPolicy(tree, f).improve(values)
+                worst, at, deepest = _ConvexPolicy(tree, f).improve(values)
                 assert (worst, at) == _defect(tree, values, "convex", None, f), (m, f is None)
-                assert changed
+                assert deepest == depth - 1, (m, f is None)
+
+    def test_improve_returns_deepest_changed_level(self):
+        """The policy step returns the deepest level whose stored choices it
+        changed, and -1 when it changed none, with and without an obstacle."""
+        rng = np.random.default_rng(157)
+        for m, depth in [(2, 6), (3, 4), (5, 3)]:
+            tree = TruncatedTree(m, depth)
+            values = rng.uniform(-1, 1, tree.vertex_count)
+            obstacle = rng.uniform(-1, 1, tree.vertex_count)
+            for f in (None, obstacle):
+                label = (m, f is None)
+                policy = _ConvexPolicy(tree, f)
+                assert policy.improve(values)[2] == depth - 1, label
+                assert policy.improve(values)[2] == -1, label
+                for levels in ([0], [1], [0, depth - 2], [depth - 1]):
+                    for level in levels:
+                        policy.first[tree.level_slice(level)] += 1  # a wrong code in every row
+                    assert policy.improve(values)[2] == max(levels), (label, levels)
+                    assert policy.improve(values)[2] == -1, (label, levels)
+
+    @pytest.mark.parametrize("m,depth", [(2, 6), (3, 4), (5, 3)])
+    def test_elimination_from_changed_level_is_bitwise_full(self, m, depth):
+        """A row depends only on the choices at and below its level: after
+        the choices of one shallow level change, eliminating again from that
+        level gives the rows of a fresh full elimination bit for bit, with
+        and without an obstacle."""
+        rng = np.random.default_rng(163 + m)
+        tree = TruncatedTree(m, depth)
+        u, obstacle = rng.uniform(-1, 1, tree.vertex_count), rng.uniform(0, 2, tree.vertex_count)
+
+        def rows(policy, level=None, alpha=None, beta=None):
+            if alpha is None:
+                alpha, beta = np.empty(tree.interior_count), np.empty(tree.interior_count)
+            _eliminate(tree, u, alpha, beta, policy.system, level)
+            return alpha, beta
+
+        for f in (None, obstacle):
+            for level in sorted({1, depth - 2}):
+                label = (m, f is None, level)
+                policy = _ConvexPolicy(tree, f)
+                policy.improve(u)
+                alpha, beta = rows(policy)
+                before = beta.copy()
+                # another choice in every row of the level: a pair for the
+                # predecessor branch or the obstacle, the branch for a pair
+                sl = tree.level_slice(level)
+                first, second = policy.first[sl], policy.second[sl]
+                pair = second >= 0
+                first[first == TOUCH] = 0
+                second[:] = np.where(pair, PRED, (first + 1) % m)
+                rows(policy, level, alpha, beta)
+                fresh = _ConvexPolicy(tree, f)
+                fresh.first[:], fresh.second[:] = policy.first, policy.second
+                full_alpha, full_beta = rows(fresh)
+                assert np.array_equal(alpha.view(np.uint64), full_alpha.view(np.uint64)), label
+                assert np.array_equal(beta.view(np.uint64), full_beta.view(np.uint64)), label
+                assert not np.array_equal(beta, before), label  # the kept rows alone are stale
 
     @pytest.mark.parametrize("m,depth", [(2, 9), (3, 6), (5, 4)])
     def test_tied_data_against_jacobi(self, m, depth):
