@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,76 +27,85 @@ CONVERGENCE_LEAF_BUDGET = 2**24
 SUBSAMPLE_BUDGET = 2**16  # inf mode's N; each block holds about 2^20 points
 
 
+# spec name -> (how the spec spells its parameters, the vectorized g(t, *params))
+_FAMILIES = {
+    "constant": ("c", lambda t, c: np.full_like(t, c)),
+    "affine": ("a,b", lambda t, slope, intercept: slope * t + intercept),
+    "power": ("p", lambda t, p: t**p),
+    "absdev": ("c", lambda t, c: np.abs(t - c)),
+    "indicator": ("lo,hi", lambda t, lo, hi: ((t >= lo) & (t <= hi)).astype(np.float64)),
+}
+
+
 @dataclass(frozen=True)
 class BoundaryDatum:
-    """A closed-form function g: [0, 1] -> R from a small builtin family, or a
-    piecewise-linear table.  Evaluation is deterministic and vectorized."""
+    """A closed-form function g: [0, 1] -> R from a builtin family of
+    `_FAMILIES`, or a piecewise-linear table (kind "piecewise_linear", with
+    knots).  It is checked when built; evaluation is deterministic and
+    vectorized."""
 
     kind: str
     params: tuple[float, ...] = ()
-    knots: tuple[tuple[float, float], ...] = field(default_factory=tuple)
+    knots: tuple[tuple[float, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        kind, p = self.kind, self.params
+        if kind == "piecewise_linear":
+            pts = tuple((float(t), float(g)) for t, g in self.knots)
+            if len(pts) < 2:
+                raise ValueError("piecewise datum needs at least two knots")
+            bad = _knot_error(pts)
+            if bad is not None:
+                raise ValueError(f"knot {bad[0]}: {bad[1]}")
+            object.__setattr__(self, "knots", pts)
+        elif kind not in _FAMILIES:
+            raise ValueError(f"unknown datum kind {kind!r}")
+        want = len(_FAMILIES[kind][0].split(",")) if kind in _FAMILIES else 0
+        if len(p) != want:
+            raise ValueError(f"{kind} datum takes {want} parameters, got {len(p)}")
+        if kind == "power" and p[0] < 0:
+            raise ValueError(f"power exponent must be >= 0, got {p[0]}")
+        if kind == "indicator" and not p[0] <= p[1]:
+            raise ValueError(f"indicator needs lo <= hi, got [{p[0]}, {p[1]}]")
+        object.__setattr__(self, "params", tuple(map(float, p)))
 
     @classmethod
     def constant(cls, c: float) -> BoundaryDatum:
-        return cls("constant", (float(c),))
+        return cls("constant", (c,))
 
     @classmethod
     def affine(cls, slope: float, intercept: float) -> BoundaryDatum:
         """g(t) = slope * t + intercept."""
-        return cls("affine", (float(slope), float(intercept)))
+        return cls("affine", (slope, intercept))
 
     @classmethod
     def power(cls, p: float) -> BoundaryDatum:
-        if p < 0:
-            raise ValueError(f"power exponent must be >= 0, got {p}")
-        return cls("power", (float(p),))
+        return cls("power", (p,))
 
     @classmethod
     def abs_dev(cls, c: float) -> BoundaryDatum:
         """g(t) = |t - c|."""
-        return cls("abs_dev", (float(c),))
+        return cls("absdev", (c,))
 
     @classmethod
     def indicator(cls, lo: float, hi: float) -> BoundaryDatum:
         """g = 1 on the closed interval [lo, hi], else 0."""
-        if not lo <= hi:
-            raise ValueError(f"indicator needs lo <= hi, got [{lo}, {hi}]")
-        return cls("indicator", (float(lo), float(hi)))
+        return cls("indicator", (lo, hi))
 
     @classmethod
     def piecewise_linear(cls, knots) -> BoundaryDatum:
-        pts = tuple((float(t), float(g)) for t, g in knots)
-        if len(pts) < 2:
-            raise ValueError("piecewise datum needs at least two knots")
-        bad = _knot_error(pts)
-        if bad is not None:
-            raise ValueError(f"knot {bad[0]}: {bad[1]}")
-        return cls("piecewise_linear", (), pts)
+        return cls("piecewise_linear", (), knots)
 
     def evaluate(self, ts: np.ndarray) -> np.ndarray:
         t = np.asarray(ts, dtype=np.float64)
-        if self.kind == "constant":
-            return np.full_like(t, self.params[0])
-        if self.kind == "affine":
-            slope, intercept = self.params
-            return slope * t + intercept
-        if self.kind == "power":
-            return t ** self.params[0]
-        if self.kind == "abs_dev":
-            return np.abs(t - self.params[0])
-        if self.kind == "indicator":
-            lo, hi = self.params
-            return ((t >= lo) & (t <= hi)).astype(np.float64)
         if self.kind == "piecewise_linear":
-            xs = np.array([p[0] for p in self.knots])
-            ys = np.array([p[1] for p in self.knots])
-            return np.interp(t, xs, ys)
-        raise ValueError(f"unknown datum kind {self.kind!r}")
+            return np.interp(t, *np.array(self.knots).T)
+        return _FAMILIES[self.kind][1](t, *self.params)
 
 
 def _knot_error(pts) -> tuple[int, str] | None:
     """The first bad knot of a table of at least two, as (its number from 1,
-    the reason), or None; `piecewise_linear` and `load_datum_csv` both say it."""
+    the reason), or None; a piecewise datum and `load_datum_csv` both say it."""
     if pts[0][0] != 0.0:
         return 1, f"first t must be 0, got {pts[0][0]}"
     if pts[-1][0] != 1.0:
@@ -136,7 +145,8 @@ def load_datum_csv(path: str) -> BoundaryDatum:
 
 def parse_datum(spec: str) -> BoundaryDatum:
     """Parse a datum spec: "constant:c", "affine:slope,intercept", "power:p",
-    "absdev:c", "indicator:lo,hi", or a path to a piecewise-linear CSV."""
+    "absdev:c", "indicator:lo,hi" (the families of `_FAMILIES`), or a path to
+    a piecewise-linear CSV."""
     if ":" in spec:
         kind, _, arg = spec.partition(":")
         kind = kind.strip().lower()
@@ -144,19 +154,10 @@ def parse_datum(spec: str) -> BoundaryDatum:
             args = [float(a) for a in arg.split(",")] if arg else []
         except ValueError as exc:
             raise ValueError(f"malformed datum arguments in {spec!r}") from exc
-        if kind == "constant" and len(args) == 1:
-            return BoundaryDatum.constant(args[0])
-        if kind == "affine" and len(args) == 2:
-            return BoundaryDatum.affine(args[0], args[1])
-        if kind == "power" and len(args) == 1:
-            return BoundaryDatum.power(args[0])
-        if kind == "absdev" and len(args) == 1:
-            return BoundaryDatum.abs_dev(args[0])
-        if kind == "indicator" and len(args) == 2:
-            return BoundaryDatum.indicator(args[0], args[1])
-        raise ValueError(
-            f"unknown datum spec {spec!r}; expected constant:c, affine:a,b, "
-            f"power:p, absdev:c, indicator:lo,hi, or a CSV file path")
+        if kind in _FAMILIES and len(args) == len(_FAMILIES[kind][0].split(",")):
+            return BoundaryDatum(kind, tuple(args))
+        families = "".join(f"{name}:{spelling}, " for name, (spelling, _) in _FAMILIES.items())
+        raise ValueError(f"unknown datum spec {spec!r}; expected {families}or a CSV file path")
     if os.path.exists(spec):
         return load_datum_csv(spec)
     raise ValueError(f"datum {spec!r} is neither a builtin family nor an existing file")
@@ -217,19 +218,14 @@ def convergence_study(
         over = depth >= CONVERGENCE_LEAF_BUDGET.bit_length()
         if over or m**depth > CONVERGENCE_LEAF_BUDGET:
             leaves = "" if over else f" = {m**depth}"
-            raise ValueError(
-                f"depth {depth} exceeds the study budget "
-                f"(m^depth{leaves} > {CONVERGENCE_LEAF_BUDGET} leaves)")
+            raise ValueError(f"depth {depth} exceeds the study budget "
+                             f"(m^depth{leaves} > {CONVERGENCE_LEAF_BUDGET} leaves)")
 
-    root_values: list[float] = []
-    converged: list[bool] = []
-    worst: list[Vertex] = []
+    rows = []
     for depth in depths:
         tree = TruncatedTree(m, depth)
-        leaves = sample_leaves(g, tree, subsamples)
-        report = solve_dirichlet(tree, leaves, cfg)
-        root_values.append(float(report.solution.values[0]))
-        converged.append(report.converged)
-        worst.append(report.worst_vertex)
+        report = solve_dirichlet(tree, sample_leaves(g, tree, subsamples), cfg)
+        rows.append((float(report.solution.values[0]), report.converged, report.worst_vertex))
+    root_values, converged, worst = map(list, zip(*rows))
     deltas = [abs(b - a) for a, b in zip(root_values, root_values[1:])]
     return ConvergenceSeries(list(depths), root_values, deltas, converged, worst)

@@ -387,7 +387,7 @@ def solve_obstacle(obstacle: TreeFunction, cfg: SolveConfig) -> ObstacleResult:
         raise ValueError(f"variant {cfg.variant!r} is not an envelope equation")
     check_variant(cfg.variant, cfg.k, obstacle.tree.m)
     obstacle.validate()
-    f = obstacle.values.copy()
+    f = obstacle.values  # read, never written: the engine works on its own copy
     report = _solve(obstacle.tree, f.copy(), cfg, obstacle=f)
     mask = np.abs(report.solution.values - f) <= cfg.tol
     return ObstacleResult(envelope=report.solution, coincidence_mask=mask, report=report)

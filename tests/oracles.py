@@ -5,8 +5,8 @@ the function-CSV reader of `treeconvex.cli`, for tests only.
 Vertices are plain digit tuples, enumerated level by level with
 `itertools.product`; nothing here uses the library's geometry.  The minimal
 path between two vertices runs through their common digit prefix, an edge
-down to level k has the exact length `Fraction(1, m**k)`, and a binary
-subtree is the tuple of its endpoints.  The rows come in the library's
+down to level k has the exact length `Fraction(1, m**k)`, and a binary or
+k-ary subtree is the tuple of its endpoints.  The rows come in the library's
 order: the segment arrays are the layout `is_convex_segment` evaluates, so
 the tests demand bitwise equality there; the library checks subtrees by
 per-level averages, which the tests hold to these rows within a rounding
@@ -83,37 +83,60 @@ def segment_constraints(tree: TruncatedTree):
             np.array(iy, dtype=np.int64), np.array(wx), np.array(wy))
 
 
-def binary_subtrees(m: int, root: tuple, rel: int) -> list[tuple]:
-    """The endpoint tuples of every binary subtree rooted at `root` with
-    endpoints at most `rel` levels below it: the root with two successors
-    i < j and a shape hanging at each, where a shape is a vertex alone or a
-    binary subtree rooted there.  The endpoints at i come first."""
-    return _shapes(m, root, rel)[1:]
+ROW_BUDGET = 20_000  # subtree rows one `subtree_constraints` call may build
 
 
-def _shapes(m: int, v: tuple, rel: int) -> list[tuple]:
+def subtree_count(m: int, rel: int, k: int = 2) -> int:
+    """The number of k-ary subtrees of a vertex with `rel` levels below it,
+    in closed form, or ROW_BUDGET + 1 if there are more than ROW_BUDGET.  A
+    vertex r levels above the leaves carries ways(r) = 1 + C(m, k) *
+    ways(r - 1)^k shapes, itself alone among them; ways grows doubly
+    exponentially in r, so it is capped as it goes."""
+    ways = 1
+    for _ in range(rel):
+        ways = min(1 + math.comb(m, k) * ways**k, ROW_BUDGET + 2)
+    return ways - 1
+
+
+def subtrees(m: int, root: tuple, rel: int, k: int = 2) -> list[tuple]:
+    """The endpoint tuples of every k-ary subtree rooted at `root` with
+    endpoints at most `rel` levels below it: the root with a k-subset of its
+    successors, in lexicographic order, and a shape hanging at each, where a
+    shape is a vertex alone or a k-ary subtree rooted there.  The endpoints
+    below the first successor of the subset come first.  k = 2 gives the
+    binary subtrees."""
+    return _shapes(m, root, rel, k)[1:]
+
+
+def _shapes(m: int, v: tuple, rel: int, k: int) -> list[tuple]:
     shapes = [(v,)]
     if rel:
-        for i, j in combinations(range(m), 2):
-            right = _shapes(m, v + (j,), rel - 1)
-            shapes += [left + r for left in _shapes(m, v + (i,), rel - 1) for r in right]
+        below = [_shapes(m, v + (c,), rel - 1, k) for c in range(m)]
+        for subset in combinations(range(m), k):
+            shapes += [sum(parts, ()) for parts in product(*(below[c] for c in subset))]
     return shapes
 
 
-def subtree_constraints(tree: TruncatedTree, from_level: int = 0):
-    """(roots, endpoints, weights): one row per binary subtree of every
+def subtree_constraints(tree: TruncatedTree, from_level: int = 0, k: int = 2):
+    """(roots, endpoints, weights): one row per k-ary subtree of every
     interior vertex from level `from_level` on, in flat order, padded to the
-    widest row with endpoint 0 and weight 0.  An endpoint k levels below the
-    root weighs 1/2^k."""
+    widest row with endpoint 0 and weight 0.  An endpoint j levels below the
+    root weighs 1/k^j.  The row count is taken in closed form first, and more
+    than `ROW_BUDGET` rows are refused before any is built."""
     m, depth = tree.m, tree.depth
+    count = sum(m**level * subtree_count(m, depth - level, k)
+                for level in range(from_level, depth))
+    if count > ROW_BUDGET:
+        raise ValueError(f"more than {ROW_BUDGET} subtree rows at m={m}, depth={depth}, "
+                         f"k={k} from level {from_level}")
     flat = {v: i for i, v in enumerate(digit_tuples(m, depth))}
     roots, rows = [], []
     for x in digit_tuples(m, depth - 1):
         if len(x) < from_level:
             continue
-        for ends in binary_subtrees(m, x, depth - len(x)):
+        for ends in subtrees(m, x, depth - len(x), k):
             roots.append(flat[x])
-            rows.append([(flat[y], 1 / 2 ** (len(y) - len(x))) for y in ends])
+            rows.append([(flat[y], 1 / k ** (len(y) - len(x))) for y in ends])
     width = max(map(len, rows), default=0)
     endpoints = np.zeros((len(rows), width), dtype=np.int64)
     weights = np.zeros((len(rows), width))

@@ -450,24 +450,29 @@ def test_criterion_10_determinism(tmp_path):
 
 
 def test_criterion_11_definitional_envelope():
-    """The solved envelope is the largest segment-convex (binary-convex)
-    function: `solve_dirichlet` and `solve_obstacle` match, within
+    """The solved envelope is the largest segment-convex (binary-convex,
+    k-convex) function: `solve_dirichlet` and `solve_obstacle` match, within
     1e-12 * max|data|, the greatest function that satisfies every segment
-    (binary-subtree) constraint, swept down from the definition by
+    (binary- or k-ary-subtree) constraint, swept down from the definition by
     `oracles.definitional_envelope`.  Random leaf data and obstacles, 4 of
     each per size; convex at m=2 L=4..6, m=3 L=3..4 and m=5 L=3, binary at
-    m=2 L=4 and m=3 L=3."""
+    m=2 L=4 and m=3 L=3, kconvex at m=3 k=3 L=3, m=4 k=3 L=2 and m=5 k=4
+    L=2."""
     rng = np.random.default_rng(11)
-    cases = [("convex", 2, 4), ("convex", 2, 5), ("convex", 2, 6), ("convex", 3, 3),
-             ("convex", 3, 4), ("convex", 5, 3), ("binary", 2, 4), ("binary", 3, 3)]
+    cases = [("convex", 2, 4, None), ("convex", 2, 5, None), ("convex", 2, 6, None),
+             ("convex", 3, 3, None), ("convex", 3, 4, None), ("convex", 5, 3, None),
+             ("binary", 2, 4, None), ("binary", 3, 3, None),
+             ("kconvex", 3, 3, 3), ("kconvex", 4, 2, 3), ("kconvex", 5, 2, 4)]
     failures = []
     sweeps = {}
     worst = 0.0
-    for variant, m, depth in cases:
+    for variant, m, depth, k in cases:
         tree = TruncatedTree(m, depth)
-        build = oracles.segment_constraints if variant == "convex" else oracles.subtree_constraints
-        arrays = build(tree)
-        cfg = SolveConfig(variant=variant)
+        if variant == "convex":
+            arrays = oracles.segment_constraints(tree)
+        else:
+            arrays = oracles.subtree_constraints(tree, k=k or 2)
+        cfg = SolveConfig(variant=variant, k=k)
         for scale in (1.0, 1.0, 1e3, 1e-3):
             g = scale * rng.uniform(-1, 1, tree.leaf_count)
             start = np.full(tree.vertex_count, g.max())

@@ -19,7 +19,7 @@ from treeconvex import (
     reference_binary_indicator,
     sample_leaves,
 )
-from treeconvex.boundary import SUBSAMPLE_BUDGET
+from treeconvex.boundary import _FAMILIES, SUBSAMPLE_BUDGET
 
 
 def at(g, *ts):
@@ -109,6 +109,65 @@ class TestDatumFamilies:
         with pytest.raises(ValueError) as file:
             load_datum_csv(str(path))
         assert str(file.value) == f"{path}: row {number + 1}: {reason}"
+
+
+# each builtin family: its spec, the classmethod call that builds the same
+# datum, and g written out apart from the library's table, bit for bit
+FAMILY_CASES = {
+    "constant": ("constant:2.5", lambda: BoundaryDatum.constant(2.5),
+                 lambda t: np.full(t.shape, 2.5)),
+    "affine": ("affine:2,-1", lambda: BoundaryDatum.affine(2.0, -1.0), lambda t: 2.0 * t - 1.0),
+    "power": ("power:2", lambda: BoundaryDatum.power(2.0), lambda t: t * t),
+    "absdev": ("absdev:0.3", lambda: BoundaryDatum.abs_dev(0.3),
+               lambda t: np.where(t >= 0.3, t - 0.3, 0.3 - t)),
+    "indicator": ("indicator:0.25,0.75", lambda: BoundaryDatum.indicator(0.25, 0.75),
+                  lambda t: np.where((t >= 0.25) & (t <= 0.75), 1.0, 0.0)),
+}
+
+
+class TestFamilyTable:
+    def test_cases_cover_the_table(self):
+        assert set(FAMILY_CASES) == set(_FAMILIES)
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_CASES))
+    def test_spec_classmethod_and_closed_form(self, name):
+        spec, build, closed = FAMILY_CASES[name]
+        datum = build()
+        assert parse_datum(spec) == datum
+        assert datum.kind == name
+        edges = [0.0, 1.0, 0.25, 0.75, np.nextafter(0.25, 0), np.nextafter(0.75, 1), 0.3]
+        t = np.concatenate([edges, np.linspace(0, 1, 4097),
+                            np.random.default_rng(7).uniform(0, 1, 4096)])
+        got, want = datum.evaluate(t), closed(t)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kind,params,knots,message", [
+        ("sine", (1.0,), (), "unknown datum kind 'sine'"),
+        ("abs_dev", (0.5,), (), "unknown datum kind 'abs_dev'"),
+        ("affine", (1.0,), (), "affine datum takes 2 parameters, got 1"),
+        ("constant", (), (), "constant datum takes 1 parameters, got 0"),
+        ("piecewise_linear", (1.0,), ((0.0, 0.0), (1.0, 1.0)),
+         "piecewise_linear datum takes 0 parameters, got 1"),
+        ("power", (-1.0,), (), "power exponent must be >= 0, got -1.0"),
+        ("indicator", (0.5, 0.25), (), "indicator needs lo <= hi, got [0.5, 0.25]"),
+        ("piecewise_linear", (), ((0.0, 0.0), (0.6, 1.0), (0.4, 2.0), (1.0, 0.0)),
+         "knot 3: t must increase strictly (0.4 after 0.6)"),
+        ("piecewise_linear", (), ((0.0, 0.0),), "piecewise datum needs at least two knots"),
+        ("piecewise_linear", (), (), "piecewise datum needs at least two knots"),
+    ], ids=["unknown", "old-absdev-kind", "affine-count", "constant-count", "piecewise-params",
+            "negative-power", "lo-above-hi", "unsorted-knots", "one-knot", "no-knots"])
+    def test_direct_construction_refuses(self, kind, params, knots, message):
+        with pytest.raises(ValueError) as exc:
+            BoundaryDatum(kind, params, knots)
+        assert str(exc.value) == message
+
+    def test_direct_construction_takes_floats(self):
+        assert BoundaryDatum("constant", (1,)) == BoundaryDatum.constant(1.0)
+        datum = BoundaryDatum("piecewise_linear", (), [[0, 1], [1, 3]])
+        assert datum.knots == ((0.0, 1.0), (1.0, 3.0))
+        assert all(type(v) is float for knot in datum.knots for v in knot)
+        assert at(datum, 0.5) == [2.0]
 
 
 class TestSampling:

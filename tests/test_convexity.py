@@ -523,7 +523,7 @@ class TestBinarySubtrees:
     tests mean something only if they are right."""
 
     def test_depth_one_is_sibling_pairs(self):
-        subs = oracles.binary_subtrees(3, (0,), 1)
+        subs = oracles.subtrees(3, (0,), 1)
         assert subs == [((0, 0), (0, 1)), ((0, 0), (0, 2)), ((0, 1), (0, 2))]
         for ends in subs:
             assert weights((0,), ends) == [Fraction(1, 2)] * 2
@@ -537,14 +537,14 @@ class TestBinarySubtrees:
         for m, rel in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]:
             expected = (m * (m - 1) // 2) * node_choices(m, rel - 1) ** 2
             assert _subtree_count(m, rel) == expected
-            assert len(oracles.binary_subtrees(m, (), rel)) == expected
+            assert len(oracles.subtrees(m, (), rel)) == expected
             for cap in (1, expected - 1, expected, expected + 1):
                 assert _subtree_count(m, rel, cap) == min(expected, cap)
         assert _subtree_count(3, 0) == 0
 
     def test_structure_invariants_and_weights(self):
         m, x = 3, (0,)
-        subs = oracles.binary_subtrees(m, x, 2)
+        subs = oracles.subtrees(m, x, 2)
         assert len(set(subs)) == len(subs) == _subtree_count(m, 2)
         for ends in subs:
             assert all(len(y) > len(x) and y[: len(x)] == x for y in ends)
@@ -565,11 +565,77 @@ class TestBinarySubtrees:
         check = is_binary_convex(u, tol=1e-9, mode="subtrees")
         # evaluating per subtree and via the vectorized matrix must agree
         for x in [(), (1,)]:
-            subs = oracles.binary_subtrees(2, x, tree.depth - len(x))
+            subs = oracles.subtrees(2, x, tree.depth - len(x))
             worst = min(sum(float(w) * u.value_at(Vertex(2, y)) for w, y in zip(weights(x, ends), ends))
                         for ends in subs)
             violated_here = u.value_at(Vertex(2, x)) > worst + 1e-9
             assert violated_here == (Vertex(2, x) in check.violations)
+
+
+def pair_shapes(m, v, rel):
+    """The binary enumeration written with successor pairs i < j, as the
+    oracle had it before k-ary subtrees."""
+    shapes = [(v,)]
+    if rel:
+        for i, j in combinations(range(m), 2):
+            right = pair_shapes(m, v + (j,), rel - 1)
+            shapes += [left + r for left in pair_shapes(m, v + (i,), rel - 1) for r in right]
+    return shapes
+
+
+class TestKarySubtrees:
+    """The k-ary generalization of the oracle's subtrees, which criterion 11
+    uses for the kconvex envelope."""
+
+    @pytest.mark.parametrize("m,depth", [(2, 4), (3, 3), (4, 2), (5, 2)])
+    def test_k2_reproduces_binary_rows(self, m, depth):
+        tree = TruncatedTree(m, depth)
+        flat = {v: i for i, v in enumerate(oracles.digit_tuples(m, depth))}
+        roots, endpoints, weights_ = oracles.subtree_constraints(tree, k=2)
+        r = 0
+        for x in oracles.digit_tuples(m, depth - 1):
+            want = pair_shapes(m, x, depth - len(x))[1:]
+            assert oracles.subtrees(m, x, depth - len(x)) == want
+            for ends in want:
+                n = len(ends)
+                assert roots[r] == flat[x]
+                assert endpoints[r, :n].tolist() == [flat[y] for y in ends]
+                assert weights_[r, :n].tolist() == [1 / 2 ** (len(y) - len(x)) for y in ends]
+                assert not endpoints[r, n:].any() and not weights_[r, n:].any()
+                r += 1
+        assert r == len(roots)
+
+    @pytest.mark.parametrize("m,k,rel", [(3, 3, 1), (3, 3, 2), (4, 3, 2), (5, 4, 2), (4, 4, 2),
+                                         (5, 2, 2)])
+    def test_count_and_structure(self, m, k, rel):
+        def ways(r):
+            return 1 if r == 0 else 1 + len(list(combinations(range(m), k))) * ways(r - 1) ** k
+
+        x = (1,)
+        subs = oracles.subtrees(m, x, rel, k)
+        assert len(subs) == len(set(subs)) == ways(rel) - 1 == oracles.subtree_count(m, rel, k)
+        for ends in subs:
+            # the members are the endpoints and their ancestors up to x; x has
+            # k member successors, every endpoint none, every other member k
+            members = {y[:j] for y in ends for j in range(len(x), len(y) + 1)}
+            for v in members:
+                kids = [v + (d,) for d in range(m) if v + (d,) in members]
+                assert len(kids) == (0 if v in ends else k)
+            assert sum(Fraction(1, k ** (len(y) - len(x))) for y in ends) == 1
+
+    def test_row_counts_and_budget(self, monkeypatch):
+        # the criterion-11 sizes, in closed form and built
+        for m, depth, k, rows in [(3, 3, 3, 762), (4, 2, 3, 516), (5, 2, 4, 6505)]:
+            roots, _, _ = oracles.subtree_constraints(TruncatedTree(m, depth), k=k)
+            assert len(roots) == rows
+        # past the budget the count refuses before anything is built:
+        # m=4 k=3 L=3 has 503,008,068 rows, m=2 k=2 L=22 a number of about
+        # 3 million bits
+        monkeypatch.setattr(oracles, "subtrees", None)
+        for m, depth, k in [(4, 3, 3), (5, 3, 5), (2, 22, 2)]:
+            with pytest.raises(ValueError, match=f"more than {oracles.ROW_BUDGET} subtree rows"):
+                oracles.subtree_constraints(TruncatedTree(m, depth), k=k)
+        assert oracles.subtree_count(4, 3, 3) == oracles.ROW_BUDGET + 1
 
 
 # every size the budgets admit at m in {2, 3, 4, 5}, as far as the Fraction

@@ -297,6 +297,27 @@ class TestDirect:
                 assert report.converged
                 assert peak < 26 * tree.vertex_count, (depth, peak / tree.vertex_count)
 
+    def test_obstacle_solve_footprint(self):
+        """The obstacle solve reads the caller's obstacle in place and copies
+        it once, as the working iterate: a warm solve's tracemalloc peak is
+        about 24 B per vertex and stays under 26 B (a second copy of the
+        obstacle made it 32 B), and the obstacle's values are unchanged."""
+        rng = np.random.default_rng(181)
+        for m, depth in ((5, 7), (2, 16)):
+            tree = TruncatedTree(m, depth)
+            f = TreeFunction.from_values(tree, rng.uniform(0, 1, tree.vertex_count))
+            before = f.values.copy()
+            solve_obstacle(f, SolveConfig())
+            tracemalloc.start()
+            try:
+                result = solve_obstacle(f, SolveConfig())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.report.converged
+            assert peak < 26 * tree.vertex_count, (m, depth, peak / tree.vertex_count)
+            np.testing.assert_array_equal(f.values.view(np.uint64), before.view(np.uint64))
+
     def test_rise_beyond_rounding_clears_monotone(self, monkeypatch):
         """Rounding can lift an evaluation a few ulps above the previous
         iterate: the iterate keeps the smaller value, and a rise within tol
