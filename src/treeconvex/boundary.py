@@ -60,9 +60,12 @@ class BoundaryDatum:
             object.__setattr__(self, "knots", pts)
         elif kind not in _FAMILIES:
             raise ValueError(f"unknown datum kind {kind!r}")
-        want = len(_FAMILIES[kind][0].split(",")) if kind in _FAMILIES else 0
-        if len(p) != want:
-            raise ValueError(f"{kind} datum takes {want} parameters, got {len(p)}")
+        names = _FAMILIES[kind][0].split(",") if kind in _FAMILIES else []
+        if len(p) != len(names):
+            raise ValueError(f"{kind} datum takes {len(names)} parameters, got {len(p)}")
+        for name, value in zip(names, map(float, p)):
+            if not np.isfinite(value):
+                raise ValueError(f"{kind} parameter {name} must be finite, got {value}")
         if kind == "power" and p[0] < 0:
             raise ValueError(f"power exponent must be >= 0, got {p[0]}")
         if kind == "indicator" and not p[0] <= p[1]:

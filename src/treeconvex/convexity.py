@@ -13,8 +13,9 @@ count is taken in closed form before any build and stops at the budget, so
 a skip is as cheap at any depth and names the budget, not the count.  The
 segment constraints are built in closed form with NumPy, in blocks of vertex
 pairs each tested as it is built, and the subtree averages level by level
-from the leaves up; `tests/oracles.py` rebuilds both from the definitions
-on digit tuples, with exact distances, as the test reference.
+from the leaves up, in blocks each tested as it is built; `tests/oracles.py`
+rebuilds both from the definitions on digit tuples, with exact distances, as
+the test reference.
 """
 
 from __future__ import annotations
@@ -29,21 +30,22 @@ from .functions import TreeFunction
 from .tree import TruncatedTree, Vertex
 
 # Measured on a 2-vCPU x86 VM with NumPy 2.4.  The segment constraints are
-# built and tested SEGMENT_BLOCK_PAIRS vertex pairs at a time, each block
-# dropped once tested, so the check holds the pair list (16 B a pair) and one
-# block.  At the edge, m=2 depth 8 (511 vertices, 130,305 pairs, 1,448,703
-# constraints), its tracemalloc peak and median time are 3.4 MB and 154 ms
-# with blocks of 512 pairs, 4.7 MB and 127 ms with 1024, and 7.0 MB and
-# 112 ms with 2048, against 179 MB and 188 ms in one piece; at m=2 depth 7,
-# 1.7, 2.7 and 4.6 MB in 34-40 ms, against 37 MB and 55 ms.  1024 pairs keep
-# the peak under 5 MB at no cost in time.  A binary subtree is one float64
-# average, and only one level's averages are held at a time: the subtree
-# check peaks at about 17 B per subtree (the averages, one temporary of the
-# same size and a bool each).  At the edge, m=2 depth 5 checks 459,829
-# subtrees, 458,329 of them at the root, in 8 ms with a 7.8 MB peak.
+# built and tested SEGMENT_BLOCK_PAIRS vertex pairs at a time, each block's
+# pairs found from their pair numbers and the block dropped once tested, so
+# nothing the check holds grows with the pair count.  At the edge, m=2 depth
+# 8 (511 vertices, 130,305 pairs, 1,448,703 constraints), the tracemalloc
+# peak is 2.6 MB (179 MB in one piece), and 2.1 MB at depth 7; blocks of
+# 512, 1024 and 2048 pairs took 154, 127 and 112 ms at depth 8, one piece
+# 188 ms.  The subtree averages are built and tested at most
+# SUBTREE_BLOCK_AVERAGES at a time, and only the levels below the root keep
+# theirs, for the level above.  At the edge, m=2 depth 5 checks 459,829
+# subtrees, 458,329 at the root, with a 0.7 MB peak in 1.4-2.2 ms (a whole
+# level at once: 7.8 MB and 8-11 ms), and m=1414 depth 1 checks 998,991 in
+# 16 ms.  So SUBTREE_ENUMERATION_BUDGET bounds time, not memory.
 SEGMENT_VERTEX_BUDGET = 512
 SEGMENT_BLOCK_PAIRS = 1024
 SUBTREE_ENUMERATION_BUDGET = 1_000_000
+SUBTREE_BLOCK_AVERAGES = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +209,15 @@ def _segment_constraints(tree: TruncatedTree):
     cum = np.concatenate(([0], np.cumsum(pw[::-1][1:])))
     off = np.concatenate(([0], np.cumsum(pw)))
     level = np.repeat(np.arange(depth + 1), pw)
-    index = np.arange(tree.vertex_count) - off[level]
-    pairs_a, pairs_b = np.triu_indices(tree.vertex_count, 1)
-    for start in range(0, pairs_a.size, SEGMENT_BLOCK_PAIRS):
-        a = pairs_a[start : start + SEGMENT_BLOCK_PAIRS]
-        b = pairs_b[start : start + SEGMENT_BLOCK_PAIRS]
+    n, flat = tree.vertex_count, np.arange(tree.vertex_count)
+    index = flat - off[level]
+    # pairs are numbered from 0 in order; the n - 1 - a pairs (a, b) start
+    # at number starts[a], so pair k lies in the last row starting at <= k
+    total, starts = n * (n - 1) // 2, flat * (n - 1) - flat * (flat - 1) // 2
+    for start in range(0, total, SEGMENT_BLOCK_PAIRS):
+        k = np.arange(start, min(start + SEGMENT_BLOCK_PAIRS, total))
+        a = np.searchsorted(starts, k, side="right") - 1
+        b = k - starts[a] + a + 1
         la, lb, ia, ib = level[a], level[b], index[a], index[b]
         # common-ancestor level: the number of levels l >= 1 whose ancestors
         # agree (a < b in flat order, so la <= lb)
@@ -282,25 +288,44 @@ def _subtree_row_count(tree: TruncatedTree) -> int:
 
 
 def _subtree_averages(tree: TruncatedTree, values: np.ndarray):
-    """From the leaves up, (slice, averages) for each interior level: row x of
-    `averages` holds the endpoint average of every binary subtree rooted at
-    x, an endpoint k levels below x weighing 2^-k.
+    """From the leaves up, (slice, averages) blocks for each interior level:
+    row x of a level's averages holds the endpoint average of every binary
+    subtree rooted at x, an endpoint k levels below x weighing 2^-k, and the
+    level's blocks, side by side, are those rows.
 
     A shape hanging at y is y alone or a binary subtree rooted at y; a
     subtree rooted at x is a successor pair i < j with a shape hanging at
     each, so its average is the mean of the two shapes' averages.  Columns
     run over the pairs in lexicographic order, then over the shape at i, then
-    over the shape at j, each vertex alone before its subtrees."""
+    over the shape at j, each vertex alone before its subtrees.  A block is
+    a run of whole pairs, or one pair and a run of the shapes at i: at most
+    SUBTREE_BLOCK_AVERAGES averages, or one shape at i with every shape at j
+    where that is more.  Only the levels below the root keep their shapes,
+    for the level above."""
     m = tree.m
+    first, second = np.triu_indices(m, 1)
     shapes = values[tree.leaf_slice][:, None]
     for level in range(tree.depth - 1, -1, -1):
         rows = tree.level_slice(level)
         h = shapes.reshape(tree.level_size(level), m, -1)
-        averages = np.concatenate(
-            [((h[:, i, :, None] + h[:, j, None, :]) / 2).reshape(len(h), -1)
-             for i, j in combinations(range(m), 2)], axis=1)
-        yield rows, averages
-        shapes = np.concatenate([values[rows, None], averages], axis=1)
+        n, w = len(h), h.shape[2]
+        if level:
+            shapes = np.empty((n, 1 + first.size * w * w))
+            shapes[:, 0] = values[rows]
+        pairs = max(1, SUBTREE_BLOCK_AVERAGES // (n * w * w))
+        at_i = min(w, max(1, SUBTREE_BLOCK_AVERAGES // (n * w)))
+        col = 1
+        for p in range(0, first.size, pairs):
+            left = h[:, first[p : p + pairs], :, None]
+            right = h[:, second[p : p + pairs], None, :]
+            for a in range(0, w, at_i):
+                block = left[:, :, a : a + at_i] + right
+                block /= 2
+                block = block.reshape(n, -1)
+                yield rows, block
+                if level:
+                    shapes[:, col : col + block.shape[1]] = block
+                    col += block.shape[1]
 
 
 def is_binary_convex(u: TreeFunction, tol: float = 1e-9, mode: str = "operator") -> ConvexityCheck:
@@ -319,12 +344,12 @@ def is_binary_convex(u: TreeFunction, tol: float = 1e-9, mode: str = "operator")
             ok=None, checked=0,
             skipped=f"budget: more than {SUBTREE_ENUMERATION_BUDGET} binary subtrees")
     vals = u.values
-    flat = []
+    # interior vertices are the first flat indices, so the violations come
+    # in flat order, the root's level first
+    bad = np.zeros(tree.interior_count, dtype=bool)
     for rows, averages in _subtree_averages(tree, vals):
-        bad = (vals[rows, None] > averages + tol).any(axis=1)
-        # levels come from the leaves up: each goes before those found so far
-        flat[:0] = (rows.start + np.flatnonzero(bad)).tolist()
-    return _verdict(tree, flat, total)
+        bad[rows] |= (vals[rows, None] > averages + tol).any(axis=1)
+    return _verdict(tree, np.flatnonzero(bad).tolist(), total)
 
 
 # ---------------------------------------------------------------------------

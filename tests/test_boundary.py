@@ -151,12 +151,16 @@ class TestFamilyTable:
          "piecewise_linear datum takes 0 parameters, got 1"),
         ("power", (-1.0,), (), "power exponent must be >= 0, got -1.0"),
         ("indicator", (0.5, 0.25), (), "indicator needs lo <= hi, got [0.5, 0.25]"),
+        ("power", (np.nan,), (), "power parameter p must be finite, got nan"),
+        ("indicator", (0.0, np.inf), (), "indicator parameter hi must be finite, got inf"),
+        ("affine", (1.0, -np.inf), (), "affine parameter b must be finite, got -inf"),
         ("piecewise_linear", (), ((0.0, 0.0), (0.6, 1.0), (0.4, 2.0), (1.0, 0.0)),
          "knot 3: t must increase strictly (0.4 after 0.6)"),
         ("piecewise_linear", (), ((0.0, 0.0),), "piecewise datum needs at least two knots"),
         ("piecewise_linear", (), (), "piecewise datum needs at least two knots"),
     ], ids=["unknown", "old-absdev-kind", "affine-count", "constant-count", "piecewise-params",
-            "negative-power", "lo-above-hi", "unsorted-knots", "one-knot", "no-knots"])
+            "negative-power", "lo-above-hi", "nan-power", "infinite-hi", "infinite-intercept",
+            "unsorted-knots", "one-knot", "no-knots"])
     def test_direct_construction_refuses(self, kind, params, knots, message):
         with pytest.raises(ValueError) as exc:
             BoundaryDatum(kind, params, knots)

@@ -323,12 +323,23 @@ class TestInputErrors:
          "DIR/header.csv: piecewise datum needs at least two knots, got 0"),
         (SOLVE + ["--datum", "DIR/big.csv"],
          f"DIR/big.csv: row 2: field larger than field limit ({csv.field_size_limit()})"),
+        # a non-finite parameter is refused when the datum is built, before
+        # any leaf is sampled (`affine:inf,0` made NumPy warn of inf * 0)
+        (SOLVE + ["--datum", "power:nan"], "power parameter p must be finite, got nan"),
+        (SOLVE + ["--datum", "constant:inf"], "constant parameter c must be finite, got inf"),
+        (SOLVE + ["--datum", "absdev:nan"], "absdev parameter c must be finite, got nan"),
+        (SOLVE + ["--datum", "affine:inf,0"], "affine parameter a must be finite, got inf"),
+        (SOLVE + ["--datum", "indicator:nan,1"],
+         "indicator parameter lo must be finite, got nan"),
+        (CONVERGE + ["--datum", "affine:1,-inf"], "affine parameter b must be finite, got -inf"),
         (CONVERGE + ["--depths", "0,3"], "depth must be >= 1, got 0"),
         (CONVERGE + ["--depths", "3,,4"], "malformed depths '3,,4'"),
         (CONVERGE + ["--datum", "DIR/one.csv"],
          "DIR/one.csv: piecewise datum needs at least two knots, got 1"),
     ], ids=["inf-x", "foo", "inf-alias", "power-x", "const-alias", "abs_dev-alias",
-            "empty-datum", "wide-datum", "one-knot", "no-knot", "big-datum-cell", "depth-0",
+            "empty-datum", "wide-datum", "one-knot", "no-knot", "big-datum-cell", "power-nan",
+            "constant-inf", "absdev-nan", "affine-inf", "indicator-nan", "converge-affine-inf",
+            "depth-0",
             "empty-depth", "converge-one-knot"])
     def test_refused_with_message(self, tmp_path, capsys, argv, message):
         for name, text in DATUM_FILES.items():
@@ -382,6 +393,25 @@ class TestCheck:
         assert checks["convex_operator"]["ok"] is False
         assert "1" in checks["convex_operator"]["violations"]
         assert checks["segment"]["ok"] is False
+
+    def test_subtree_check_at_the_budget_edge(self, tmp_path):
+        # m=2 depth 5 is the largest binary tree the subtree budget admits;
+        # its root's 458,329 subtrees are checked block by block
+        tree = TruncatedTree(2, 5)
+        g = np.random.default_rng(157).uniform(0, 1, tree.leaf_count)
+        values = solve_dirichlet(tree, g, SolveConfig(variant="convex")).solution.values.copy()
+        raised = Vertex(2, (0, 1))
+        values[tree.flat_index(raised)] += 1.0
+        fn = tmp_path / "f.csv"
+        write_function(fn, tree, values)
+        outs = []
+        for name in ("a.json", "b.json"):
+            assert run("check", "--m", "2", "--depth", "5", "--function", str(fn),
+                       "--out-json", str(tmp_path / name)) == 0
+            outs.append((tmp_path / name).read_bytes())
+        assert outs[0] == outs[1]
+        subtrees = json.loads(outs[0])["checks"]["binary_subtrees"]
+        assert subtrees == {"ok": False, "checked": 459_829, "violations": [str(raised)]}
 
     def test_noise_function_fails_with_violations(self, tmp_path):
         rng = np.random.default_rng(149)

@@ -7,7 +7,9 @@ import time
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
+from math import ceil, comb, isqrt
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -482,9 +484,10 @@ class TestPredicates:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the constraints are built and tested in blocks: about 5 MB, where
-        # holding all of them at once peaked at 179 MB
-        assert peak < 16e6
+        # the constraints are built and tested in blocks, and each block's
+        # pairs are found from their pair numbers: about 2.6 MB, where the
+        # list of all pairs added 2 MB and all constraints at once 179 MB
+        assert peak < 3.5e6
         # one row per path vertex strictly inside a segment: the sum of the
         # edge distances over all pairs (each edge joins s and n - s vertices)
         # less one per pair
@@ -492,6 +495,21 @@ class TestPredicates:
         wiener = sum(2**j * (2 ** (9 - j) - 1) * (n - 2 ** (9 - j) + 1) for j in range(1, 9))
         assert check.skipped is None and check.ok
         assert check.checked == wiener - n * (n - 1) // 2 == 1_448_703
+
+    def test_subtree_budget_edge_runs_in_blocks(self):
+        # m=2 depth 5 checks 458,329 subtrees at the root; they are built and
+        # tested in blocks: about 0.7 MB, where the root's table took 7.8 MB
+        tree = TruncatedTree(2, 5)
+        u = solve_dirichlet(tree, np.random.default_rng(97).uniform(0, 1, tree.leaf_count),
+                            SolveConfig(variant="convex")).solution
+        tracemalloc.start()
+        try:
+            check = is_binary_convex(u, mode="subtrees")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+        assert (check.ok, check.checked, check.skipped) == (True, 459_829, None)
 
     def test_subtree_budget_refusal(self):
         skip = "budget: more than 1000000 binary subtrees"
@@ -675,6 +693,13 @@ def sample_functions(tree, seed):
         yield TreeFunction(tree, values)
 
 
+def subtree_levels(tree, values):
+    """`_subtree_averages` level by level, from the leaves up: (slice, the
+    level's blocks side by side)."""
+    return [(rows, np.concatenate([block for _, block in blocks], axis=1))
+            for rows, blocks in groupby(_subtree_averages(tree, values), key=itemgetter(0))]
+
+
 class TestBruteForceArrays:
     """The vectorized constraint arrays and subtree averages against the
     digit-tuple routes in tests/oracles.py, row order included: the segment
@@ -706,7 +731,7 @@ class TestBruteForceArrays:
         from_level = 0 if rel is None else depth - rel
         u = random_function(tree, np.random.default_rng([79, m, depth]))
         # the levels come from the leaves up, the oracle's rows in flat order
-        levels = list(_subtree_averages(tree, u.values))[::-1]
+        levels = subtree_levels(tree, u.values)[::-1]
         assert [rows for rows, _ in levels] == [tree.level_slice(lv) for lv in range(depth)]
         levels = levels[from_level:]
         roots, endpoints, weights = oracle_subtrees(tree, from_level)
@@ -744,8 +769,35 @@ class TestBruteForceArrays:
             for pairs in (1, 7):
                 monkeypatch.setattr(convexity, "SEGMENT_BLOCK_PAIRS", pairs)
                 check = is_convex_segment(u)
+                blocks = list(_segment_constraints(tree))
                 monkeypatch.undo()
                 assert (check.ok, check.checked, check._flat) == want
+                assert len(blocks) == ceil(tree.vertex_count * (tree.vertex_count - 1) / 2 / pairs)
+                assert_bitwise([np.concatenate(a) for a in zip(*blocks)], oracle_segments(tree))
+
+    @pytest.mark.parametrize("m,depth", [(2, 4), (3, 3), (4, 2), (5, 1), (5, 2)])
+    def test_subtree_verdicts_do_not_depend_on_block_size(self, m, depth, monkeypatch):
+        # with 1 and 7 averages a block, every level is cut into runs of
+        # shapes at i, or of pairs (7 of the 10 at m=5 depth 1); the averages
+        # and the verdicts must not change
+        tree = TruncatedTree(m, depth)
+        for u in sample_functions(tree, 89):
+            want = oracles.subtree_verdict(u, oracle_subtrees(tree), 1e-9)
+            default = subtree_levels(tree, u.values)
+            for size in (1, 7):
+                monkeypatch.setattr(convexity, "SUBTREE_BLOCK_AVERAGES", size)
+                check = is_binary_convex(u, mode="subtrees")
+                levels = subtree_levels(tree, u.values)
+                blocks = list(_subtree_averages(tree, u.values))
+                monkeypatch.undo()
+                assert (check.ok, check.checked, check._flat) == want
+                assert [rows for rows, _ in levels] == [rows for rows, _ in default]
+                assert_bitwise([a for _, a in levels], [a for _, a in default])
+                # a block is at most `size` averages, or one shape at i with
+                # each of the w shapes at j, for each row of the level
+                shapes_at_j = {rows.start: isqrt(a.shape[1] // comb(m, 2)) for rows, a in default}
+                assert all(b.size <= max(size, b.shape[0] * shapes_at_j[rows.start])
+                           for rows, b in blocks)
 
     @pytest.mark.parametrize("m,depth,rel", [(2, 4, None), (3, 3, None), (5, 2, None),
                                              (4, 3, 2)])
