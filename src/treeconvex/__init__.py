@@ -13,11 +13,8 @@ _EXPORTS = {
     "_kernels": ("ENVELOPE_VARIANTS", "LAPLACIAN_VARIANTS"),
     "boundary": ("BoundaryDatum", "ConvergenceSeries", "convergence_study", "load_datum_csv",
                  "parse_datum", "sample_leaves"),
-    "convexity": ("ConvexityCheck", "arborescence_laplacian", "eigenvalues_binary",
-                  "eigenvalues_convex", "eigenvalues_k", "is_binary_convex",
-                  "is_convex_operator", "is_convex_segment", "laplacian_residual", "op_binary",
-                  "op_convex", "op_kconvex", "reference_binary_indicator",
-                  "reference_convex_indicator"),
+    "convexity": ("ConvexityCheck", "is_binary_convex", "is_convex_operator",
+                  "is_convex_segment", "op_binary", "op_convex"),
     "functions": ("TreeFunction",),
     "solver": ("ObstacleResult", "SolveConfig", "SolveReport", "residual", "solve_dirichlet",
                "solve_obstacle"),

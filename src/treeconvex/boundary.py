@@ -109,6 +109,10 @@ class BoundaryDatum:
 def _knot_error(pts) -> tuple[int, str] | None:
     """The first bad knot of a table of at least two, as (its number from 1,
     the reason), or None; a piecewise datum and `load_datum_csv` both say it."""
+    for i, knot in enumerate(pts, start=1):
+        for name, value in zip("tg", knot):
+            if not np.isfinite(value):
+                return i, f"{name} must be finite, got {value}"
     if pts[0][0] != 0.0:
         return 1, f"first t must be 0, got {pts[0][0]}"
     if pts[-1][0] != 1.0:
@@ -171,23 +175,26 @@ def sample_leaves(g: BoundaryDatum, tree: TruncatedTree,
     """Leaf values for the datum: g(psi(leaf)) in point mode (`subsamples`
     None), or the minimum of g over subsamples+1 uniform points of the leaf
     interval in inf mode."""
-    psis = leaf_psi_values(tree)
-    if subsamples is None:
-        return g.evaluate(psis)
-    if subsamples < 1:
-        raise ValueError(f"inf mode needs subsamples >= 1, got {subsamples}")
-    if subsamples > SUBSAMPLE_BUDGET:
-        raise ValueError(f"inf mode: {subsamples} subsamples exceed the budget "
-                         f"of {SUBSAMPLE_BUDGET} per leaf")
-    width = 1.0 / float(tree.m**tree.depth)
-    offsets = np.arange(subsamples + 1) * (width / subsamples)
-    out = np.empty(tree.leaf_count)
-    # each leaf's minimum is over the same points whatever the block size
-    block = max(1, (1 << 20) // (subsamples + 1))
-    for start in range(0, tree.leaf_count, block):
-        pts = psis[start : start + block, None] + offsets[None, :]
-        out[start : start + block] = g.evaluate(pts.ravel()).reshape(pts.shape).min(axis=1)
-    return out
+    # a value that overflows is refused by the solve as not finite; NumPy's
+    # warning would only come first
+    with np.errstate(over="ignore", invalid="ignore"):
+        psis = leaf_psi_values(tree)
+        if subsamples is None:
+            return g.evaluate(psis)
+        if subsamples < 1:
+            raise ValueError(f"inf mode needs subsamples >= 1, got {subsamples}")
+        if subsamples > SUBSAMPLE_BUDGET:
+            raise ValueError(f"inf mode: {subsamples} subsamples exceed the budget "
+                             f"of {SUBSAMPLE_BUDGET} per leaf")
+        width = 1.0 / float(tree.m**tree.depth)
+        offsets = np.arange(subsamples + 1) * (width / subsamples)
+        out = np.empty(tree.leaf_count)
+        # each leaf's minimum is over the same points whatever the block size
+        block = max(1, (1 << 20) // (subsamples + 1))
+        for start in range(0, tree.leaf_count, block):
+            pts = psis[start : start + block, None] + offsets[None, :]
+            out[start : start + block] = g.evaluate(pts.ravel()).reshape(pts.shape).min(axis=1)
+        return out
 
 
 @dataclass

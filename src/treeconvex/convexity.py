@@ -1,9 +1,11 @@
-"""Convexity operators, predicates, eigenvalue analogues, and reference solutions.
+"""The convex and binary operators at one vertex, and the convexity predicates.
 
 Two routes to every convexity notion are kept deliberately separate:
 
 * operator form - the one-step min inequality at each vertex, evaluated
-  directly from successor (and predecessor) values;
+  level by level by the kernels of `treeconvex._kernels`, or at one vertex
+  from its successor (and predecessor) values by `op_convex` and
+  `op_binary`;
 * definitional form - brute force over the defining objects (minimal-path
   segments, or finite binary subtrees with their endpoint weights).
 
@@ -15,17 +17,18 @@ segment constraints are built in closed form with NumPy, in blocks of vertex
 pairs each tested as it is built, and the subtree averages level by level
 from the leaves up, in blocks each tested as it is built; `tests/oracles.py`
 rebuilds both from the definitions on digit tuples, with exact distances, as
-the test reference.
+the test reference.  The k-convex operator, the eigenvalue families, the
+Laplacians and the closed-form reference functions at one vertex, which only
+tests use, live there too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from ._kernels import check_variant, full_laplacian_weights, operator_levels
+from ._kernels import operator_levels
 from .functions import TreeFunction
 from .tree import TruncatedTree, Vertex
 
@@ -82,65 +85,6 @@ def op_binary(u: TreeFunction, x: Vertex) -> float:
     s = _successor_values(u, x)
     part = np.partition(s, 1)
     return float((part[0] + part[1]) / 2.0)
-
-
-def op_kconvex(u: TreeFunction, x: Vertex, k: int) -> float:
-    """min over k-element successor subsets of the subset average."""
-    check_variant("kconvex", k, u.tree.m)
-    s = _successor_values(u, x)
-    part = np.partition(s, k - 1)
-    return float(part[:k].sum() / k)
-
-
-# ---------------------------------------------------------------------------
-# eigenvalue analogues and Laplacians
-# ---------------------------------------------------------------------------
-
-def eigenvalues_convex(u: TreeFunction, x: Vertex) -> list[float]:
-    """All second-difference terms at x: the C(m,2) successor-pair terms and
-    the m predecessor-branch terms.  Undefined at the root."""
-    if x.is_root:
-        raise ValueError("predecessor family undefined at the root")
-    m = u.tree.m
-    s = _successor_values(u, x)
-    ux = u.value_at(x)
-    up = _parent_value(u, x)
-    pairs = [(s[i] + s[j] - 2 * ux) / 2.0 for i, j in combinations(range(m), 2)]
-    branches = [(up + m * s[i] - (m + 1) * ux) / (m + 1) for i in range(m)]
-    return [float(v) for v in pairs + branches]
-
-
-def eigenvalues_binary(u: TreeFunction, x: Vertex) -> list[float]:
-    m = u.tree.m
-    s = _successor_values(u, x)
-    ux = u.value_at(x)
-    return [float(0.5 * s[i] + 0.5 * s[j] - ux) for i, j in combinations(range(m), 2)]
-
-
-def eigenvalues_k(u: TreeFunction, x: Vertex, k: int) -> list[float]:
-    """The C(m,k) k-subset-average terms (1/k) * sum u(x,j_i) - u(x)."""
-    m = u.tree.m
-    check_variant("kconvex", k, m)
-    s = _successor_values(u, x)
-    ux = u.value_at(x)
-    return [float(sum(s[i] for i in subset) / k - ux) for subset in combinations(range(m), k)]
-
-
-def laplacian_residual(u: TreeFunction, x: Vertex) -> float:
-    """Defect of the full-tree mean-value identity
-    u(x) = 2/(m+1)^2 * u(parent) + (m^2+2m-1)/(m+1)^2 * successor average."""
-    if x.is_root:
-        raise ValueError("full-tree Laplacian undefined at the root (no predecessor)")
-    m = u.tree.m
-    s = _successor_values(u, x)
-    c_pred, c_succ = full_laplacian_weights(m)
-    return float(c_pred * _parent_value(u, x) + c_succ * s.mean() - u.value_at(x))
-
-
-def arborescence_laplacian(u: TreeFunction, x: Vertex) -> float:
-    """Successor average minus the value at x."""
-    s = _successor_values(u, x)
-    return float(s.mean() - u.value_at(x))
 
 
 # ---------------------------------------------------------------------------
@@ -350,52 +294,3 @@ def is_binary_convex(u: TreeFunction, tol: float = 1e-9, mode: str = "operator")
     for rows, averages in _subtree_averages(tree, vals):
         bad[rows] |= (vals[rows, None] > averages + tol).any(axis=1)
     return _verdict(tree, np.flatnonzero(bad).tolist(), total)
-
-
-# ---------------------------------------------------------------------------
-# closed-form references
-# ---------------------------------------------------------------------------
-
-def _subtree_level_slice(tree: TruncatedTree, x0: Vertex, level: int) -> slice:
-    width = tree.m ** (level - x0.level)
-    start = tree.level_offset(level) + x0.index * width
-    return slice(start, start + width)
-
-
-def reference_convex_indicator(tree: TruncatedTree, x0: Vertex) -> TreeFunction:
-    """The closed-form convex function attached to a non-root vertex x0:
-    ((m-1)/m) * sum_{i=0}^{|x|-|x0|} m^-i on the subtree below x0, else 0.
-    Values are computed exactly and rounded to float once.
-
-    For m >= 3 it satisfies u = op_convex(u) at every interior vertex.  For
-    m = 2 it satisfies u <= op_convex(u) everywhere, with equality except
-    at the root when |x0| = 1, where op_convex(u) - u = (m-1)/(2m) = 1/4.
-    """
-    from fractions import Fraction  # imported on call: no CLI command calls this
-
-    tree._check_member(x0)
-    if x0.is_root:
-        raise ValueError("the reference indicator requires a non-root vertex")
-    m = tree.m
-    values = np.zeros(tree.vertex_count)
-    for level in range(x0.level, tree.depth + 1):
-        j = level - x0.level
-        s_j = Fraction(m - 1, m) * sum(Fraction(1, m**i) for i in range(j + 1))
-        values[_subtree_level_slice(tree, x0, level)] = float(s_j)
-    return TreeFunction(tree, values)
-
-
-def reference_binary_indicator(tree: TruncatedTree, x0: Vertex) -> TreeFunction:
-    """The 0/1 indicator of the subtree below a non-root vertex x0.
-
-    For m >= 3 it satisfies u = op_binary(u) at every interior vertex.  For
-    m = 2 it satisfies u <= op_binary(u) everywhere, with equality except
-    at the parent of x0, where op_binary(u) - u = 1/2.
-    """
-    tree._check_member(x0)
-    if x0.is_root:
-        raise ValueError("the reference indicator requires a non-root vertex")
-    values = np.zeros(tree.vertex_count)
-    for level in range(x0.level, tree.depth + 1):
-        values[_subtree_level_slice(tree, x0, level)] = 1.0
-    return TreeFunction(tree, values)

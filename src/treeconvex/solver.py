@@ -362,9 +362,13 @@ def _howard(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
 
 def _solve(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
            obstacle: np.ndarray | None = None) -> SolveReport:
-    if KERNELS[cfg.variant][1]:  # reads the parent level
-        return _howard(tree, values, cfg, obstacle)
-    return _iterate(tree, values, replace(cfg, max_iter=1), obstacle)
+    # data near the float maximum overflow the operators; the report then
+    # names a defect that is not finite, and NumPy's warnings would only
+    # come first
+    with np.errstate(over="ignore", invalid="ignore"):
+        if KERNELS[cfg.variant][1]:  # reads the parent level
+            return _howard(tree, values, cfg, obstacle)
+        return _iterate(tree, values, replace(cfg, max_iter=1), obstacle)
 
 
 def solve_dirichlet(tree: TruncatedTree, leaf_values, cfg: SolveConfig) -> SolveReport:

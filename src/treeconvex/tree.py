@@ -9,7 +9,6 @@ float at output boundaries only.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -18,8 +17,7 @@ import numpy as np
 if TYPE_CHECKING:
     from fractions import Fraction
 
-DEFAULT_VERTEX_BUDGET = 2**28
-BUDGET_ENV_VAR = "TREECONVEX_BUDGET"
+VERTEX_BUDGET = 2**28
 
 ROOT_TEXT = "root"
 
@@ -99,16 +97,6 @@ def leaf_psi_values(tree: TruncatedTree) -> np.ndarray:
     return np.arange(tree.leaf_count, dtype=np.float64) / float(tree.m**tree.depth)
 
 
-def _vertex_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_VERTEX_BUDGET
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-
-
 @dataclass(frozen=True)
 class TruncatedTree:
     """The regular m-branching tree cut at depth `depth` (leaves = level depth).
@@ -126,15 +114,14 @@ class TruncatedTree:
             raise ValueError(f"branching factor must be >= 2, got {self.m}")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        budget = _vertex_budget()
         # 2^depth alone is over the budget from its bit length on; m^depth is
         # then not formed, nor printed (it may pass `str`'s digit limit)
-        over = self.depth >= budget.bit_length()
-        if over or self.vertex_count > budget:
+        over = self.depth >= VERTEX_BUDGET.bit_length()
+        if over or self.vertex_count > VERTEX_BUDGET:
             count = f"more than 2^{self.depth}" if over else self.vertex_count
             raise ValueError(
                 f"tree with m={self.m}, depth={self.depth} has {count} vertices, "
-                f"over the budget of {budget} (override with {BUDGET_ENV_VAR})"
+                f"over the budget of {VERTEX_BUDGET}"
             )
 
     @property

@@ -11,6 +11,9 @@ order: the segment arrays are the layout `is_convex_segment` evaluates, so
 the tests demand bitwise equality there; the library checks subtrees by
 per-level averages, which the tests hold to these rows within a rounding
 bound.
+The pointwise operators, second-difference families and Laplacians read one
+vertex's neighbours by digits, for comparison with the library's level
+kernels, and the closed-form reference functions are built here exactly.
 `read_function_csv` reads every file one `csv` row at a time.
 """
 
@@ -196,6 +199,114 @@ def subtree_verdict(u: TreeFunction, arrays, tol: float) -> tuple[bool, int, lis
     bad = vals[roots] > (weights * vals[endpoints]).sum(axis=1) + tol
     flat = list(dict.fromkeys(roots[bad].tolist()))
     return not flat, len(roots), flat
+
+
+def flat_index(m: int, digits: tuple) -> int:
+    """The position of a vertex in `digit_tuples` order: the (m^l - 1)/(m - 1)
+    vertices above its level l come first, then those before it in its level."""
+    index = 0
+    for d in digits:
+        index = index * m + d
+    return (m ** len(digits) - 1) // (m - 1) + index
+
+
+def value_at(u: TreeFunction, digits: tuple) -> float:
+    return float(u.values[flat_index(u.tree.m, digits)])
+
+
+def successor_values(u: TreeFunction, x: Vertex) -> list[float]:
+    """u at the m successors of x, in digit order."""
+    return [value_at(u, x.digits + (c,)) for c in range(u.tree.m)]
+
+
+def check_k(k: int, m: int) -> None:
+    if not 2 <= k <= m:
+        raise ValueError(f"k must be in [2, m={m}], got {k}")
+
+
+def op_kconvex(u: TreeFunction, x: Vertex, k: int) -> float:
+    """The least average of k successor values: the k smallest, summed from
+    the smallest up.  In that order the sum is bitwise the level kernel's up
+    to m = 7; NumPy sums 8 or more terms pairwise."""
+    s = successor_values(u, x)
+    check_k(k, len(s))
+    return sum(sorted(s)[:k]) / k
+
+
+def eigenvalues_convex(u: TreeFunction, x: Vertex) -> list[float]:
+    """All second-difference terms at a non-root x: the C(m,2) successor-pair
+    terms, then the m predecessor-branch terms."""
+    m, s, ux = u.tree.m, successor_values(u, x), value_at(u, x.digits)
+    up = value_at(u, x.parent.digits)
+    return ([(a + b - 2 * ux) / 2 for a, b in combinations(s, 2)]
+            + [(up + m * y - (m + 1) * ux) / (m + 1) for y in s])
+
+
+def eigenvalues_binary(u: TreeFunction, x: Vertex) -> list[float]:
+    """The C(m,2) successor-pair terms (u(y) + u(y')) / 2 - u(x)."""
+    ux = value_at(u, x.digits)
+    return [0.5 * a + 0.5 * b - ux for a, b in combinations(successor_values(u, x), 2)]
+
+
+def eigenvalues_k(u: TreeFunction, x: Vertex, k: int) -> list[float]:
+    """The C(m,k) k-subset-average terms (1/k) * sum u(x,j_i) - u(x)."""
+    s, ux = successor_values(u, x), value_at(u, x.digits)
+    check_k(k, len(s))
+    return [sum(subset) / k - ux for subset in combinations(s, k)]
+
+
+def laplacian_residual(u: TreeFunction, x: Vertex) -> float:
+    """Defect at a non-root x of the full-tree mean-value identity
+    u(x) = 2/(m+1)^2 * u(parent) + (m^2+2m-1)/(m+1)^2 * successor average."""
+    m, s = u.tree.m, successor_values(u, x)
+    return (2 / (m + 1) ** 2 * value_at(u, x.parent.digits)
+            + (m * m + 2 * m - 1) / (m + 1) ** 2 * (sum(s) / m) - value_at(u, x.digits))
+
+
+def arborescence_laplacian(u: TreeFunction, x: Vertex) -> float:
+    """Successor average minus the value at x."""
+    return sum(successor_values(u, x)) / u.tree.m - value_at(u, x.digits)
+
+
+def descendants(tree: TruncatedTree, x0: Vertex):
+    """(j, slice) for each level j levels below x0, down to the leaves: the
+    m^j vertices there run on from x0's digits followed by j zeros."""
+    for j in range(tree.depth - x0.level + 1):
+        start = flat_index(tree.m, x0.digits + (0,) * j)
+        yield j, slice(start, start + tree.m**j)
+
+
+def reference_convex_indicator(tree: TruncatedTree, x0: Vertex) -> TreeFunction:
+    """The closed-form convex function attached to a non-root vertex x0:
+    ((m-1)/m) * sum_{i=0}^{|x|-|x0|} m^-i on the subtree below x0, else 0.
+    Values are computed exactly and rounded to float once.
+
+    For m >= 3 it satisfies u = op_convex(u) at every interior vertex.  For
+    m = 2 it satisfies u <= op_convex(u) everywhere, with equality except
+    at the root when |x0| = 1, where op_convex(u) - u = (m-1)/(2m) = 1/4.
+    """
+    if x0.is_root:
+        raise ValueError("the reference indicator requires a non-root vertex")
+    m = tree.m
+    values = np.zeros(tree.vertex_count)
+    for j, below in descendants(tree, x0):
+        values[below] = float(Fraction(m - 1, m) * sum(Fraction(1, m**i) for i in range(j + 1)))
+    return TreeFunction(tree, values)
+
+
+def reference_binary_indicator(tree: TruncatedTree, x0: Vertex) -> TreeFunction:
+    """The 0/1 indicator of the subtree below a non-root vertex x0.
+
+    For m >= 3 it satisfies u = op_binary(u) at every interior vertex.  For
+    m = 2 it satisfies u <= op_binary(u) everywhere, with equality except
+    at the parent of x0, where op_binary(u) - u = 1/2.
+    """
+    if x0.is_root:
+        raise ValueError("the reference indicator requires a non-root vertex")
+    values = np.zeros(tree.vertex_count)
+    for _, below in descendants(tree, x0):
+        values[below] = 1.0
+    return TreeFunction(tree, values)
 
 
 def read_function_csv(path: str, tree: TruncatedTree) -> TreeFunction:

@@ -18,17 +18,11 @@ from treeconvex import (
     TreeFunction,
     TruncatedTree,
     Vertex,
-    arborescence_laplacian,
-    eigenvalues_binary,
-    eigenvalues_convex,
     is_binary_convex,
     is_convex_operator,
     is_convex_segment,
-    laplacian_residual,
     op_binary,
     op_convex,
-    reference_binary_indicator,
-    reference_convex_indicator,
     residual,
     sample_leaves,
     solve_dirichlet,
@@ -88,8 +82,8 @@ def test_criterion_1_reference_fixed_points():
         for level in (1, 2, 3):
             for index in range(m**level):
                 x0 = Vertex.from_level_index(m, level, index)
-                u = reference_convex_indicator(tree, x0)
-                b = reference_binary_indicator(tree, x0)
+                u = oracles.reference_convex_indicator(tree, x0)
+                b = oracles.reference_binary_indicator(tree, x0)
                 # The equations are positively homogeneous, so only the
                 # closed form's value at x0 pins the scale.
                 if u.value_at(x0) != (m - 1) / m or b.value_at(x0) != 1.0:
@@ -164,9 +158,9 @@ def _criterion_2_suite():
         adversarial.append((level_profile(
             tree, lambda k: float(sum(m**-j for j in range(1, k + 1)))), f"root-dist m={m}"))
         adversarial.append((psi_function(tree), f"psi m={m}"))
-        ref = reference_convex_indicator(tree, Vertex(m, (1,)))
+        ref = oracles.reference_convex_indicator(tree, Vertex(m, (1,)))
         adversarial.append((ref, f"convex-ref m={m}"))
-        adversarial.append((reference_binary_indicator(tree, Vertex(m, (1,))),
+        adversarial.append((oracles.reference_binary_indicator(tree, Vertex(m, (1,))),
                             f"binary-ref m={m}"))
         spiked = ref.copy()
         spiked.values[tree.flat_index(Vertex.from_level_index(m, depth - 1, 0))] += 0.5
@@ -259,7 +253,7 @@ def test_criterion_4_largest_solution_and_comparison():
         for _ in range(5):
             level = int(rng.integers(1, 4))
             x0 = Vertex.from_level_index(m, level, int(rng.integers(0, m**level)))
-            ref = reference_convex_indicator(tree, x0)
+            ref = oracles.reference_convex_indicator(tree, x0)
             scale = float(g[np.nonzero(ref.leaf_values > 0)[0]].min())
             candidates.append(scale * ref.values)
         for _ in range(5):
@@ -360,10 +354,10 @@ def test_criterion_7_eigenvalue_sum_identities():
         u = random_function(tree, rng)
         level = int(rng.integers(1, 3))
         x = Vertex.from_level_index(m, level, int(rng.integers(0, m**level)))
-        gap_full = abs(sum(eigenvalues_convex(u, x))
-                       - m * (m + 1) / 2 * laplacian_residual(u, x))
-        gap_arb = abs(sum(eigenvalues_binary(u, x))
-                      - m * (m - 1) / 2 * arborescence_laplacian(u, x))
+        gap_full = abs(sum(oracles.eigenvalues_convex(u, x))
+                       - m * (m + 1) / 2 * oracles.laplacian_residual(u, x))
+        gap_arb = abs(sum(oracles.eigenvalues_binary(u, x))
+                      - m * (m - 1) / 2 * oracles.arborescence_laplacian(u, x))
         worst_full = max(worst_full, gap_full)
         worst_arb = max(worst_arb, gap_arb)
     ok = worst_full <= 1e-12 and worst_arb <= 1e-12

@@ -16,10 +16,11 @@ from treeconvex import (
     leaf_psi_values,
     load_datum_csv,
     parse_datum,
-    reference_binary_indicator,
     sample_leaves,
 )
 from treeconvex.boundary import _FAMILIES, SUBSAMPLE_BUDGET
+
+import oracles
 
 
 def at(g, *ts):
@@ -98,7 +99,12 @@ class TestDatumFamilies:
         ([(0.0, 0.0), (0.5, 1.0), (0.9, 0.0)], 3, "last t must be 1, got 0.9"),
         ([(0.0, 0.0), (0.6, 1.0), (0.4, 2.0), (1.0, 0.0)], 3,
          "t must increase strictly (0.4 after 0.6)"),
-    ], ids=["first", "last", "order"])
+        # a non-finite knot is named where it is read; a nan t was refused as
+        # out of order, and a non-finite g reached the solve
+        ([(0.0, float("nan")), (1.0, 1.0)], 1, "g must be finite, got nan"),
+        ([(0.0, 0.0), (0.5, float("inf")), (1.0, 0.0)], 2, "g must be finite, got inf"),
+        ([(0.0, 0.0), (float("nan"), 1.0), (1.0, 0.0)], 2, "t must be finite, got nan"),
+    ], ids=["first", "last", "order", "g-nan", "g-inf", "t-nan"])
     def test_knot_errors_in_table_and_file(self, tmp_path, knots, number, reason):
         # knot n of a table is data row n + 1 of its file (the header is row 1)
         with pytest.raises(ValueError) as table:
@@ -191,7 +197,7 @@ class TestSampling:
         x0 = Vertex(3, (1,))
         g = BoundaryDatum.indicator(1 / 3, 2 / 3)
         leaves = sample_leaves(g, tree)
-        ref = reference_binary_indicator(tree, x0)
+        ref = oracles.reference_binary_indicator(tree, x0)
         below = ref.leaf_values > 0
         assert np.all(leaves[below] == 1.0)
 
@@ -271,7 +277,7 @@ class TestConvergenceStudy:
             from treeconvex import solve_dirichlet
 
             u = solve_dirichlet(tree, sample_leaves(g, tree), cfg).solution
-            ref = reference_binary_indicator(tree, x0)
+            ref = oracles.reference_binary_indicator(tree, x0)
             inside = ref.values > 0
             np.testing.assert_array_equal(u.values[inside], 1.0)
 

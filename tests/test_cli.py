@@ -23,8 +23,6 @@ from treeconvex import (
     is_convex_operator,
     is_convex_segment,
     psi,
-    reference_binary_indicator,
-    reference_convex_indicator,
     sample_leaves,
     solve_dirichlet,
     solve_obstacle,
@@ -183,7 +181,7 @@ class TestSolve:
         m, depth = 3, 4
         tree = TruncatedTree(m, depth)
         x0 = Vertex(3, (1,))
-        ref = reference_convex_indicator(tree, x0)
+        ref = oracles.reference_convex_indicator(tree, x0)
         c = float(1 - Fraction(1, m ** (depth - x0.level + 1)))
         n = m**depth
         knots = [(0.0, 0.0), (26 / n, 0.0), (27 / n, c), (53 / n, c), (54 / n, 0.0), (1.0, 0.0)]
@@ -222,6 +220,19 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "did not converge after 1 iterations" in err
         assert " at vertex " in err and "last change" in err
+
+    @pytest.mark.parametrize("variant", ["convex", "binary", "kconvex", "laplacian-full",
+                                         "laplacian-arb"])
+    def test_overflow_reported_without_warnings(self, capsys, variant):
+        # data near the float maximum overflow every operator: the one stderr
+        # line is the report of a defect that is not finite, with no NumPy
+        # warning before it (the suite turns warnings into errors)
+        k = ["--k", "2"] if variant == "kconvex" else []
+        assert run("solve", "--m", "2", "--depth", "3", "--datum", "constant:1e308",
+                   "--variant", variant, *k) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("did not converge after 1 iterations: residual ")
+        assert err.count("\n") == 1
 
     def test_data_in_the_thousands_converge(self, tmp_path):
         # the rounding of the direct engine's evaluation grows with the data;
@@ -299,6 +310,8 @@ SOLVE = ["solve", "--m", "2", "--depth", "3", "--datum", "power:2"]
 CONVERGE = ["converge", "--m", "2", "--datum", "power:2", "--depths", "3,4"]
 DATUM_FILES = {"empty.csv": "", "wide.csv": "t,g\n0,1,2\n1,0\n",
                "one.csv": "t,g\n0,1\n", "header.csv": "t,g\n",
+               "gnan.csv": "t,g\n0,nan\n1,1\n", "ginf.csv": "t,g\n0,0\n0.5,inf\n1,1\n",
+               "tnan.csv": "t,g\n0,0\nnan,1\n1,1\n",
                # a cell over the csv module's field limit was an uncaught csv.Error
                "big.csv": f"t,g\n0,{'1' * max(140_000, csv.field_size_limit() + 1)}\n1,2\n"}
 KINDS = "expected constant:c, affine:a,b, power:p, absdev:c, indicator:lo,hi, or a CSV file path"
@@ -323,6 +336,9 @@ class TestInputErrors:
          "DIR/header.csv: piecewise datum needs at least two knots, got 0"),
         (SOLVE + ["--datum", "DIR/big.csv"],
          f"DIR/big.csv: row 2: field larger than field limit ({csv.field_size_limit()})"),
+        (SOLVE + ["--datum", "DIR/gnan.csv"], "DIR/gnan.csv: row 2: g must be finite, got nan"),
+        (SOLVE + ["--datum", "DIR/ginf.csv"], "DIR/ginf.csv: row 3: g must be finite, got inf"),
+        (SOLVE + ["--datum", "DIR/tnan.csv"], "DIR/tnan.csv: row 3: t must be finite, got nan"),
         # a non-finite parameter is refused when the datum is built, before
         # any leaf is sampled (`affine:inf,0` made NumPy warn of inf * 0)
         (SOLVE + ["--datum", "power:nan"], "power parameter p must be finite, got nan"),
@@ -332,14 +348,17 @@ class TestInputErrors:
         (SOLVE + ["--datum", "indicator:nan,1"],
          "indicator parameter lo must be finite, got nan"),
         (CONVERGE + ["--datum", "affine:1,-inf"], "affine parameter b must be finite, got -inf"),
+        # finite parameters whose values overflow: the solve refuses the
+        # leaves, and NumPy's overflow warning is not printed first
+        (SOLVE + ["--datum", "affine:1e308,1e308"], "leaf values must be finite"),
         (CONVERGE + ["--depths", "0,3"], "depth must be >= 1, got 0"),
         (CONVERGE + ["--depths", "3,,4"], "malformed depths '3,,4'"),
         (CONVERGE + ["--datum", "DIR/one.csv"],
          "DIR/one.csv: piecewise datum needs at least two knots, got 1"),
     ], ids=["inf-x", "foo", "inf-alias", "power-x", "const-alias", "abs_dev-alias",
-            "empty-datum", "wide-datum", "one-knot", "no-knot", "big-datum-cell", "power-nan",
-            "constant-inf", "absdev-nan", "affine-inf", "indicator-nan", "converge-affine-inf",
-            "depth-0",
+            "empty-datum", "wide-datum", "one-knot", "no-knot", "big-datum-cell", "knot-g-nan",
+            "knot-g-inf", "knot-t-nan", "power-nan", "constant-inf", "absdev-nan", "affine-inf",
+            "indicator-nan", "converge-affine-inf", "affine-overflow", "depth-0",
             "empty-depth", "converge-one-knot"])
     def test_refused_with_message(self, tmp_path, capsys, argv, message):
         for name, text in DATUM_FILES.items():
@@ -347,11 +366,6 @@ class TestInputErrors:
         argv = [a.replace("DIR", str(tmp_path)) for a in argv]
         assert run(*argv) == 2
         assert capsys.readouterr().err == f"error: {message.replace('DIR', str(tmp_path))}\n"
-
-    def test_budget_variable_must_be_an_integer(self, monkeypatch, capsys):
-        monkeypatch.setenv("TREECONVEX_BUDGET", "abc")
-        assert run(*SOLVE) == 2
-        assert capsys.readouterr().err == "error: TREECONVEX_BUDGET must be an integer, got 'abc'\n"
 
     def test_obstacle_offers_only_envelope_variants(self, tmp_path, capsys):
         fn = tmp_path / "f.csv"
@@ -383,7 +397,7 @@ class TestCheck:
         tree = TruncatedTree(3, 3)
         x0 = Vertex(3, (1,))
         fn = tmp_path / "f.csv"
-        write_function(fn, tree, reference_binary_indicator(tree, x0).values)
+        write_function(fn, tree, oracles.reference_binary_indicator(tree, x0).values)
         out_json = tmp_path / "checks.json"
         assert run("check", "--m", "3", "--depth", "3", "--function", str(fn),
                    "--out-json", str(out_json)) == 0
@@ -716,7 +730,7 @@ class TestObstacle:
     def test_convex_obstacle_full_coincidence(self, tmp_path):
         tree = TruncatedTree(3, 3)
         fn = tmp_path / "f.csv"
-        write_function(fn, tree, reference_convex_indicator(tree, Vertex(3, (0,))).values)
+        write_function(fn, tree, oracles.reference_convex_indicator(tree, Vertex(3, (0,))).values)
         out_json = tmp_path / "r.json"
         assert run("obstacle", "--m", "3", "--depth", "3", "--obstacle", str(fn),
                    "--out-json", str(out_json)) == 0

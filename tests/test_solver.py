@@ -18,7 +18,6 @@ from treeconvex import (
     is_convex_operator,
     leaf_psi_values,
     op_convex,
-    reference_convex_indicator,
     residual,
     solve_dirichlet,
     solve_obstacle,
@@ -32,6 +31,7 @@ from treeconvex.solver import (
     _laplacian_system,
 )
 
+import oracles
 from engines import ENGINES, operator_values, solve
 
 VARIANTS = ENVELOPE_VARIANTS + LAPLACIAN_VARIANTS
@@ -87,7 +87,7 @@ class TestDirichlet:
 
     def test_convex_solve_recovers_reference(self):
         tree = TruncatedTree(3, 6)
-        ref = reference_convex_indicator(tree, Vertex(3, (1,)))
+        ref = oracles.reference_convex_indicator(tree, Vertex(3, (1,)))
         report = solve_dirichlet(tree, ref.leaf_values, SolveConfig(variant="convex"))
         np.testing.assert_allclose(report.solution.values, ref.values, atol=1e-12)
         assert report.converged
@@ -169,7 +169,7 @@ class TestDirichlet:
                 assert np.all(damped <= u + 1e-10), engine
             # scaled indicator subsolutions built independently of u
             for x0 in [Vertex(3, (0,)), Vertex(3, (2, 1))]:
-                ref = reference_convex_indicator(tree, x0)
+                ref = oracles.reference_convex_indicator(tree, x0)
                 scale = float(g[np.nonzero(ref.leaf_values > 0)[0]].min())
                 v = scale * ref.values
                 assert np.all(v <= u + 1e-10), engine
@@ -612,7 +612,7 @@ class TestObstacle:
 
     def test_convex_obstacle_is_its_own_envelope(self):
         tree = TruncatedTree(3, 4)
-        f = reference_convex_indicator(tree, Vertex(3, (2,)))
+        f = oracles.reference_convex_indicator(tree, Vertex(3, (2,)))
         result = solve_obstacle(f, SolveConfig(variant="convex"))
         np.testing.assert_array_equal(result.envelope.values, f.values)
         assert result.coincidence_mask.all()
@@ -693,7 +693,7 @@ class TestResidual:
 
     def test_reference_residual(self):
         tree = TruncatedTree(3, 5)
-        u = reference_convex_indicator(tree, Vertex(3, (1, 2)))
+        u = oracles.reference_convex_indicator(tree, Vertex(3, (1, 2)))
         assert residual(u, "convex") <= 1e-12
 
     def test_single_vertex_perturbation_visible(self):

@@ -24,12 +24,9 @@ SRC = str(Path(treeconvex.__file__).resolve().parent.parent)
 PUBLIC = [
     "BoundaryDatum", "ConvergenceSeries", "ConvexityCheck", "ENVELOPE_VARIANTS",
     "LAPLACIAN_VARIANTS", "ObstacleResult", "SolveConfig", "SolveReport", "TreeFunction",
-    "TruncatedTree", "Vertex", "arborescence_laplacian", "convergence_study",
-    "eigenvalues_binary", "eigenvalues_convex", "eigenvalues_k", "is_binary_convex",
-    "is_convex_operator", "is_convex_segment", "laplacian_residual", "leaf_psi_values",
-    "load_datum_csv", "op_binary", "op_convex", "op_kconvex", "parse_datum", "psi",
-    "reference_binary_indicator", "reference_convex_indicator", "residual", "sample_leaves",
-    "solve_dirichlet", "solve_obstacle",
+    "TruncatedTree", "Vertex", "convergence_study", "is_binary_convex", "is_convex_operator",
+    "is_convex_segment", "leaf_psi_values", "load_datum_csv", "op_binary", "op_convex",
+    "parse_datum", "psi", "residual", "sample_leaves", "solve_dirichlet", "solve_obstacle",
 ]
 
 

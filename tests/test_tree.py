@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeconvex import TreeFunction, TruncatedTree, Vertex, psi, reference_binary_indicator
+from treeconvex import TreeFunction, TruncatedTree, Vertex, psi
+from treeconvex import tree as tree_module
 
 import oracles
 
@@ -162,7 +163,7 @@ class TestIntervals:
         for m, depth, digits in [(2, 4, (0, 1)), (3, 3, (2,)), (3, 3, (1, 0))]:
             tree = TruncatedTree(m, depth)
             x0 = Vertex(m, digits)
-            inside = reference_binary_indicator(tree, x0)
+            inside = oracles.reference_binary_indicator(tree, x0)
             lo, hi = psi(x0), psi(x0) + Fraction(1, m**x0.level)
             for v in oracles.vertices(tree):
                 in_interval = lo <= psi(v) and psi(v) + Fraction(1, m**v.level) <= hi
@@ -235,11 +236,11 @@ class TestTruncatedTree:
     def test_vertex_budget(self, monkeypatch):
         with pytest.raises(ValueError, match="budget"):
             TruncatedTree(2, 30)
-        monkeypatch.setenv("TREECONVEX_BUDGET", "40")
-        with pytest.raises(ValueError, match="budget"):
+        monkeypatch.setattr(tree_module, "VERTEX_BUDGET", 40)
+        with pytest.raises(ValueError, match="has 121 vertices, over the budget of 40$"):
             TruncatedTree(3, 4)
         TruncatedTree(3, 2)  # 13 vertices, within the lowered budget
-        monkeypatch.setenv("TREECONVEX_BUDGET", str(2**31))
+        monkeypatch.setattr(tree_module, "VERTEX_BUDGET", 2**31)
         TruncatedTree(2, 30)
 
     def test_oversized_depth_refused_at_once(self):
