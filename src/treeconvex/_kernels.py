@@ -8,18 +8,11 @@ leaves-to-root order (Gauss-Seidel).
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from .tree import TruncatedTree
-
-ENVELOPE_VARIANTS = ("convex", "binary", "kconvex")
-LAPLACIAN_VARIANTS = ("laplacian_full", "laplacian_arborescence")
-VARIANTS = ENVELOPE_VARIANTS + LAPLACIAN_VARIANTS
-
-# Updates whose float rounding may overshoot the exact convex combination by
-# an ulp (k-way and weighted averages); the solver clips these against the
-# previous iterate so descent from the sup-initialization stays exact.
-CLIPPED_VARIANTS = ("kconvex", "laplacian_full", "laplacian_arborescence")
 
 
 def full_laplacian_weights(m: int) -> tuple[float, float]:
@@ -29,16 +22,20 @@ def full_laplacian_weights(m: int) -> tuple[float, float]:
     return c_pred, c_succ
 
 
-def check_variant(variant: str, k: int | None, m: int | None = None) -> None:
+def check_variant(variant: str, k: int | None, m: int | None = None,
+                  name: str | None = None) -> None:
     """Validate a variant and its k; the upper bound k <= m is checked only
-    when the branching factor is known."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    if variant != "kconvex":
+    when the branching factor is known.  Errors call the variant `name`
+    (default: `variant`)."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {tuple(_VARIANTS)}")
+    name = repr(name or variant)
+    if not _VARIANTS[variant].takes_k:
         if k is not None:
-            raise ValueError(f"k is only meaningful for variant 'kconvex', got variant {variant!r}")
+            takers = " or ".join(repr(v) for v, row in _VARIANTS.items() if row.takes_k)
+            raise ValueError(f"k is only meaningful for variant {takers}, got variant {name}")
     elif k is None:
-        raise ValueError("variant 'kconvex' requires k")
+        raise ValueError(f"variant {name} requires k")
     elif k < 2 or (m is not None and k > m):
         raise ValueError(f"k must be in [2, {'m' if m is None else f'm={m}'}], got {k}")
 
@@ -112,14 +109,22 @@ def _mean_kernel(succ: np.ndarray, par: np.ndarray | None, m: int, k: int | None
     return (c_pred * par + (c_succ * mean).reshape(len(par), -1)).ravel()
 
 
-# variant -> (row kernel, reads the parent level)
-KERNELS = {
-    "convex": (_min_kernel, True),
-    "binary": (_min_kernel, False),
-    "kconvex": (_k_smallest_mean, False),
-    "laplacian_full": (_mean_kernel, True),
-    "laplacian_arborescence": (_mean_kernel, False),
+# Every per-variant fact, one row per variant.  `reads_parent`: else one
+# leaves-to-root pass solves it.  `clipped`: float rounding of a k-way or
+# weighted average may overshoot the exact convex combination by an ulp, so
+# sweeps clip these updates against the previous iterate and descent from the
+# sup stays exact.  `envelope`: a minimum over choices, else a Laplacian (one
+# linear system).  `cli`: the `--variant` spelling.
+_Variant = namedtuple("_Variant", "kernel reads_parent clipped takes_k envelope cli")
+_VARIANTS = {
+    "convex": _Variant(_min_kernel, True, False, False, True, "convex"),
+    "binary": _Variant(_min_kernel, False, False, False, True, "binary"),
+    "kconvex": _Variant(_k_smallest_mean, False, True, True, True, "kconvex"),
+    "laplacian_full": _Variant(_mean_kernel, True, True, False, False, "laplacian-full"),
+    "laplacian_arborescence": _Variant(_mean_kernel, False, True, False, False, "laplacian-arb"),
 }
+ENVELOPE_VARIANTS = tuple(v for v, row in _VARIANTS.items() if row.envelope)
+LAPLACIAN_VARIANTS = tuple(v for v, row in _VARIANTS.items() if not row.envelope)
 
 
 def level_operator(tree: TruncatedTree, values: np.ndarray, level: int, variant: str,
@@ -132,13 +137,13 @@ def level_operator(tree: TruncatedTree, values: np.ndarray, level: int, variant:
     """
     if not 0 <= level < tree.depth:
         raise ValueError(f"level {level} is not interior (depth {tree.depth})")
-    kernel, reads_parent = KERNELS[variant]
+    row = _VARIANTS[variant]
     m = tree.m
     succ = values[tree.level_slice(level + 1)].reshape(tree.level_size(level), m)
     par = None
-    if reads_parent and level > 0:
+    if row.reads_parent and level > 0:
         par = values[tree.level_slice(level - 1), None]
-    return kernel(succ, par, m, k) if codes is None else kernel(succ, par, m, k, codes)
+    return row.kernel(succ, par, m, k) if codes is None else row.kernel(succ, par, m, k, codes)
 
 
 def operator_levels(tree: TruncatedTree, values: np.ndarray, variant: str, k: int | None,

@@ -26,7 +26,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from ._kernels import ENVELOPE_VARIANTS
+from ._kernels import _VARIANTS, check_variant
 from .functions import TreeFunction, csv_rows
 from .tree import TruncatedTree, Vertex, leaf_psi_values
 
@@ -36,13 +36,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 
-VARIANT_NAMES = {
-    "convex": "convex",
-    "binary": "binary",
-    "kconvex": "kconvex",
-    "laplacian-full": "laplacian_full",
-    "laplacian-arb": "laplacian_arborescence",
-}
+_VARIANT_OF = {row.cli: variant for variant, row in _VARIANTS.items()}  # spelling -> name
 
 
 def _fmt(x: float) -> str:
@@ -112,8 +106,18 @@ def write_dot(path: str, tree: TruncatedTree, values: np.ndarray) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
+    """`payload` as JSON, each non-finite float (which JSON cannot spell) as
+    null."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(json.dumps(_finite_or_null(payload), indent=2) + "\n")
+
+
+def _finite_or_null(x):
+    if isinstance(x, dict):
+        return {key: _finite_or_null(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return list(map(_finite_or_null, x))
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def read_function_csv(path: str, tree: TruncatedTree) -> TreeFunction:
@@ -240,8 +244,9 @@ def _parse_sampling(spec: str) -> int | None:
 
 def _build_config(args: argparse.Namespace):
     from .solver import SolveConfig
-    return SolveConfig(variant=VARIANT_NAMES[args.variant], k=args.k, tol=args.tol,
-                       max_iter=args.max_iter)
+    variant = _VARIANT_OF[args.variant]
+    check_variant(variant, args.k, name=args.variant)  # the error names it as typed
+    return SolveConfig(variant=variant, k=args.k, tol=args.tol, max_iter=args.max_iter)
 
 
 def _config_echo(args: argparse.Namespace, command: str) -> dict:
@@ -257,7 +262,7 @@ def _config_echo(args: argparse.Namespace, command: str) -> dict:
     if getattr(args, "datum", None) is not None:
         echo["datum"] = args.datum
         echo["sampling"] = args.sampling
-    if args.variant == "kconvex" and args.k is not None and args.k > args.m - 2:
+    if _VARIANTS[_VARIANT_OF[args.variant]].takes_k and args.k > args.m - 2:
         echo["k_range_note"] = (
             f"k={args.k} exceeds m-2={args.m - 2}: the k-subset equation is "
             "applied beyond the range where k-convexity is usually posed")
@@ -411,7 +416,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, need_depth: bool = True,
-                variants: Iterable[str] = VARIANT_NAMES) -> None:
+                variants: Iterable[str] = _VARIANT_OF) -> None:
     parser.add_argument("--m", type=int, required=True, help="branching factor (>= 2)")
     if need_depth:
         parser.add_argument("--depth", type=int, required=True, help="truncation depth (>= 1)")
@@ -457,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_obs = sub.add_parser("obstacle", help="solve the obstacle problem for a function CSV")
-    _add_common(p_obs, variants=ENVELOPE_VARIANTS)  # spelled alike in the CLI
+    _add_common(p_obs, variants=[row.cli for row in _VARIANTS.values() if row.envelope])
     p_obs.add_argument("--obstacle", required=True, help="obstacle CSV covering the tree")
     _add_outputs(p_obs)
     p_obs.set_defaults(func=cmd_obstacle)

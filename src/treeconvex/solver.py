@@ -30,16 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import (
-    CLIPPED_VARIANTS,
-    ENVELOPE_VARIANTS,
-    KERNELS,
-    PRED,
-    TOUCH,
-    check_variant,
-    full_laplacian_weights,
-    operator_levels,
-)
+from ._kernels import PRED, TOUCH, _VARIANTS, check_variant, full_laplacian_weights, operator_levels
 from .functions import TreeFunction
 from .tree import TruncatedTree, Vertex
 
@@ -129,7 +120,7 @@ def _iterate(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
     overshoot by an ulp are clipped against the previous iterate so descent
     stays exact.
     """
-    clip = obstacle is None and cfg.variant in CLIPPED_VARIANTS
+    clip = obstacle is None and _VARIANTS[cfg.variant].clipped
     monotone = True
     iterations = 0
 
@@ -318,11 +309,11 @@ def _howard(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
             obstacle: np.ndarray | None = None) -> SolveReport:
     """The direct engine for the variants that read the parent level, on
     `values` (leaves clamped, interior at its initial state): one exact
-    solve for laplacian_full, Howard policy iteration for convex.  An
+    solve for a Laplacian, Howard policy iteration for an envelope.  An
     evaluation eliminates again only from the deepest level whose policy
     changed."""
     interior = tree.interior_slice
-    policy = _ConvexPolicy(tree, obstacle) if cfg.variant == "convex" else None
+    policy = _ConvexPolicy(tree, obstacle) if _VARIANTS[cfg.variant].envelope else None
     system = _laplacian_system(tree) if policy is None else policy.system
     alpha, beta = np.empty(tree.interior_count), np.empty(tree.interior_count)
     if policy is not None:
@@ -366,7 +357,7 @@ def _solve(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
     # names a defect that is not finite, and NumPy's warnings would only
     # come first
     with np.errstate(over="ignore", invalid="ignore"):
-        if KERNELS[cfg.variant][1]:  # reads the parent level
+        if _VARIANTS[cfg.variant].reads_parent:
             return _howard(tree, values, cfg, obstacle)
         return _iterate(tree, values, replace(cfg, max_iter=1), obstacle)
 
@@ -387,7 +378,7 @@ def solve_obstacle(obstacle: TreeFunction, cfg: SolveConfig) -> ObstacleResult:
     solution of u = min(obstacle, operator(u)).  The coincidence mask marks
     vertices where the envelope touches the obstacle (within cfg.tol); leaves
     are clamped to the obstacle."""
-    if cfg.variant not in ENVELOPE_VARIANTS:
+    if not _VARIANTS[cfg.variant].envelope:
         raise ValueError(f"variant {cfg.variant!r} is not an envelope equation")
     check_variant(cfg.variant, cfg.k, obstacle.tree.m)
     obstacle.validate()

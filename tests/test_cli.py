@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import os
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 import oracles
 from treeconvex import (
+    ENVELOPE_VARIANTS,
+    LAPLACIAN_VARIANTS,
     SolveConfig,
     TreeFunction,
     TruncatedTree,
@@ -27,7 +30,7 @@ from treeconvex import (
     solve_dirichlet,
     solve_obstacle,
 )
-from treeconvex import cli
+from treeconvex import _kernels, cli
 from treeconvex.boundary import parse_datum
 from treeconvex.cli import main, read_function_csv, write_dot, write_solution_csv
 
@@ -221,18 +224,30 @@ class TestSolve:
         assert "did not converge after 1 iterations" in err
         assert " at vertex " in err and "last change" in err
 
-    @pytest.mark.parametrize("variant", ["convex", "binary", "kconvex", "laplacian-full",
-                                         "laplacian-arb"])
-    def test_overflow_reported_without_warnings(self, capsys, variant):
+    @pytest.mark.parametrize("variant,k,line", [
+        ("convex", [], "residual nan at vertex root, last change nan"),
+        ("binary", [], "residual nan at vertex root, last change inf"),
+        ("kconvex", ["--k", "2"], "residual inf at vertex root, last change 0.0"),
+        ("laplacian-full", [], "residual inf at vertex root, last change 0.0"),
+        ("laplacian-arb", [], "residual inf at vertex root, last change 0.0"),
+    ], ids=["convex", "binary", "kconvex", "laplacian-full", "laplacian-arb"])
+    def test_overflow_reported_without_warnings(self, tmp_path, capsys, variant, k, line):
         # data near the float maximum overflow every operator: the one stderr
         # line is the report of a defect that is not finite, with no NumPy
-        # warning before it (the suite turns warnings into errors)
-        k = ["--k", "2"] if variant == "kconvex" else []
+        # warning before it (the suite turns warnings into errors); JSON (RFC
+        # 8259) has no NaN or Infinity, so --out-json writes that defect as null
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        out_json = tmp_path / "r.json"
         assert run("solve", "--m", "2", "--depth", "3", "--datum", "constant:1e308",
-                   "--variant", variant, *k) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("did not converge after 1 iterations: residual ")
-        assert err.count("\n") == 1
+                   "--variant", variant, *k, "--out-json", str(out_json)) == 3
+        assert capsys.readouterr().err == f"did not converge after 1 iterations: {line}\n"
+        assert json.loads(out_json.read_text(), parse_constant=refuse)["final_residual"] is None
+        assert run("converge", "--m", "2", "--depths", "2,3", "--datum", "constant:1e308",
+                   "--variant", variant, *k, "--out-json", str(out_json)) == 3
+        series = json.loads(out_json.read_text(), parse_constant=refuse)
+        assert all(x is None or np.isfinite(x) for x in series["root_values"] + series["deltas"])
 
     def test_data_in_the_thousands_converge(self, tmp_path):
         # the rounding of the direct engine's evaluation grows with the data;
@@ -351,6 +366,11 @@ class TestInputErrors:
         # finite parameters whose values overflow: the solve refuses the
         # leaves, and NumPy's overflow warning is not printed first
         (SOLVE + ["--datum", "affine:1e308,1e308"], "leaf values must be finite"),
+        # a variant is named as the command line spells it
+        (SOLVE + ["--m", "3", "--variant", "laplacian-arb", "--k", "2"],
+         "k is only meaningful for variant 'kconvex', got variant 'laplacian-arb'"),
+        (CONVERGE + ["--variant", "laplacian-full", "--k", "2"],
+         "k is only meaningful for variant 'kconvex', got variant 'laplacian-full'"),
         (CONVERGE + ["--depths", "0,3"], "depth must be >= 1, got 0"),
         (CONVERGE + ["--depths", "3,,4"], "malformed depths '3,,4'"),
         (CONVERGE + ["--datum", "DIR/one.csv"],
@@ -358,7 +378,8 @@ class TestInputErrors:
     ], ids=["inf-x", "foo", "inf-alias", "power-x", "const-alias", "abs_dev-alias",
             "empty-datum", "wide-datum", "one-knot", "no-knot", "big-datum-cell", "knot-g-nan",
             "knot-g-inf", "knot-t-nan", "power-nan", "constant-inf", "absdev-nan", "affine-inf",
-            "indicator-nan", "converge-affine-inf", "affine-overflow", "depth-0",
+            "indicator-nan", "converge-affine-inf", "affine-overflow", "laplacian-arb-k",
+            "laplacian-full-k", "depth-0",
             "empty-depth", "converge-one-knot"])
     def test_refused_with_message(self, tmp_path, capsys, argv, message):
         for name, text in DATUM_FILES.items():
@@ -378,6 +399,58 @@ class TestInputErrors:
         assert "invalid choice: 'laplacian-full'" in err
         choices = err.split("choose from")[1]
         assert "kconvex" in choices and "laplacian" not in choices
+
+
+# Every row of the variant table, written out, so that a row that drifts fails.
+VARIANT_ROWS = {
+    "convex": dict(kernel=_kernels._min_kernel, reads_parent=True, clipped=False,
+                   takes_k=False, envelope=True, cli="convex"),
+    "binary": dict(kernel=_kernels._min_kernel, reads_parent=False, clipped=False,
+                   takes_k=False, envelope=True, cli="binary"),
+    "kconvex": dict(kernel=_kernels._k_smallest_mean, reads_parent=False, clipped=True,
+                    takes_k=True, envelope=True, cli="kconvex"),
+    "laplacian_full": dict(kernel=_kernels._mean_kernel, reads_parent=True, clipped=True,
+                           takes_k=False, envelope=False, cli="laplacian-full"),
+    "laplacian_arborescence": dict(kernel=_kernels._mean_kernel, reads_parent=False,
+                                   clipped=True, takes_k=False, envelope=False,
+                                   cli="laplacian-arb"),
+}
+
+
+def variant_choices(command):
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in commands.choices[command]._actions if a.dest == "variant").choices
+
+
+class TestVariantTable:
+    def test_rows(self):
+        assert [(v, row._asdict()) for v, row in _kernels._VARIANTS.items()] == \
+            list(VARIANT_ROWS.items())
+        assert ENVELOPE_VARIANTS + LAPLACIAN_VARIANTS == tuple(VARIANT_ROWS)
+
+    def test_cli_choices(self):
+        spellings = [row["cli"] for row in VARIANT_ROWS.values()]
+        for command in ("solve", "converge"):
+            assert sorted(variant_choices(command)) == sorted(spellings)
+        assert sorted(variant_choices("obstacle")) == sorted(
+            row["cli"] for row in VARIANT_ROWS.values() if row["envelope"])
+
+    @pytest.mark.parametrize("variant", VARIANT_ROWS)
+    def test_cli_round_trip(self, tmp_path, variant):
+        # the --variant spelling solves the row's library variant, bitwise
+        row = VARIANT_ROWS[variant]
+        k = 2 if row["takes_k"] else None
+        out_csv = tmp_path / "u.csv"
+        assert run("solve", "--m", "3", "--depth", "4", "--datum", "absdev:0.3",
+                   "--variant", row["cli"], *(["--k", str(k)] if k else []),
+                   "--out-csv", str(out_csv)) == 0
+        tree = TruncatedTree(3, 4)
+        report = solve_dirichlet(tree, sample_leaves(parse_datum("absdev:0.3"), tree),
+                                 SolveConfig(variant=variant, k=k))
+        assert report.converged
+        got = read_function_csv(str(out_csv), tree).values
+        assert got.tobytes() == report.solution.values.tobytes()
 
 
 class TestCheck:
