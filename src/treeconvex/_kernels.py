@@ -12,7 +12,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .tree import TruncatedTree
+from .tree import TruncatedTree, check_integer
 
 
 def full_laplacian_weights(m: int) -> tuple[float, float]:
@@ -36,8 +36,10 @@ def check_variant(variant: str, k: int | None, m: int | None = None,
             raise ValueError(f"k is only meaningful for variant {takers}, got variant {name}")
     elif k is None:
         raise ValueError(f"variant {name} requires k")
-    elif k < 2 or (m is not None and k > m):
-        raise ValueError(f"k must be in [2, {'m' if m is None else f'm={m}'}], got {k}")
+    else:
+        check_integer("k", k)
+        if k < 2 or (m is not None and k > m):
+            raise ValueError(f"k must be in [2, {'m' if m is None else f'm={m}'}], got {k}")
 
 
 # Row kernels: `succ` holds one row of successor values per vertex, `par` the

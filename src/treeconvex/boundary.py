@@ -21,19 +21,23 @@ import numpy as np
 
 from .functions import csv_rows
 from .solver import SolveConfig, solve_dirichlet
-from .tree import TruncatedTree, Vertex, leaf_psi_values
+from .tree import TruncatedTree, Vertex, check_integer, leaf_psi_values
 
 CONVERGENCE_LEAF_BUDGET = 2**24
 SUBSAMPLE_BUDGET = 2**16  # inf mode's N; each block holds about 2^20 points
 
 
-# spec name -> (how the spec spells its parameters, the vectorized g(t, *params))
+# spec name -> (how the spec spells its parameters, the vectorized g(t, *params),
+# and None or the rule that gives the reason to refuse finite parameters as given)
 _FAMILIES = {
-    "constant": ("c", lambda t, c: np.full_like(t, c)),
-    "affine": ("a,b", lambda t, slope, intercept: slope * t + intercept),
-    "power": ("p", lambda t, p: t**p),
-    "absdev": ("c", lambda t, c: np.abs(t - c)),
-    "indicator": ("lo,hi", lambda t, lo, hi: ((t >= lo) & (t <= hi)).astype(np.float64)),
+    "constant": ("c", lambda t, c: np.full_like(t, c), None),
+    "affine": ("a,b", lambda t, slope, intercept: slope * t + intercept, None),
+    "power": ("p", lambda t, p: t**p,
+              lambda p: f"power exponent must be >= 0, got {p}" if p < 0 else None),
+    "absdev": ("c", lambda t, c: np.abs(t - c), None),
+    "indicator": ("lo,hi", lambda t, lo, hi: ((t >= lo) & (t <= hi)).astype(np.float64),
+                  lambda lo, hi: f"indicator needs lo <= hi, got [{lo}, {hi}]" if lo > hi
+                  else None),
 }
 
 
@@ -60,40 +64,17 @@ class BoundaryDatum:
             object.__setattr__(self, "knots", pts)
         elif kind not in _FAMILIES:
             raise ValueError(f"unknown datum kind {kind!r}")
-        names = _FAMILIES[kind][0].split(",") if kind in _FAMILIES else []
+        spelling, _, rule = _FAMILIES.get(kind, ("", None, None))
+        names = spelling.split(",") if spelling else []
         if len(p) != len(names):
             raise ValueError(f"{kind} datum takes {len(names)} parameters, got {len(p)}")
         for name, value in zip(names, map(float, p)):
             if not np.isfinite(value):
                 raise ValueError(f"{kind} parameter {name} must be finite, got {value}")
-        if kind == "power" and p[0] < 0:
-            raise ValueError(f"power exponent must be >= 0, got {p[0]}")
-        if kind == "indicator" and not p[0] <= p[1]:
-            raise ValueError(f"indicator needs lo <= hi, got [{p[0]}, {p[1]}]")
+        reason = rule and rule(*p)
+        if reason:
+            raise ValueError(reason)
         object.__setattr__(self, "params", tuple(map(float, p)))
-
-    @classmethod
-    def constant(cls, c: float) -> BoundaryDatum:
-        return cls("constant", (c,))
-
-    @classmethod
-    def affine(cls, slope: float, intercept: float) -> BoundaryDatum:
-        """g(t) = slope * t + intercept."""
-        return cls("affine", (slope, intercept))
-
-    @classmethod
-    def power(cls, p: float) -> BoundaryDatum:
-        return cls("power", (p,))
-
-    @classmethod
-    def abs_dev(cls, c: float) -> BoundaryDatum:
-        """g(t) = |t - c|."""
-        return cls("absdev", (c,))
-
-    @classmethod
-    def indicator(cls, lo: float, hi: float) -> BoundaryDatum:
-        """g = 1 on the closed interval [lo, hi], else 0."""
-        return cls("indicator", (lo, hi))
 
     @classmethod
     def piecewise_linear(cls, knots) -> BoundaryDatum:
@@ -125,28 +106,32 @@ def _knot_error(pts) -> tuple[int, str] | None:
 
 def load_datum_csv(path: str) -> BoundaryDatum:
     """Piecewise-linear datum file: header "t,g", strictly increasing t,
-    first t = 0, last t = 1."""
+    first t = 0, last t = 1.  Blank lines after the header are skipped, and
+    errors name the file line of the row."""
     with open(path, newline="") as fh:
-        rows = list(csv_rows(path, csv.reader(fh)))
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in csv_rows(path, reader)]
     if not rows:
         raise ValueError(f"{path}: empty datum file")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     if header != ["t", "g"]:
         raise ValueError(f'{path}: expected header "t,g", got {",".join(header)!r}')
-    knots = []
-    for n, row in enumerate(rows[1:], start=2):
+    knots, lines = [], []
+    for n, row in rows[1:]:
+        if not row:
+            continue
         if len(row) != 2:
             raise ValueError(f"{path}: row {n}: expected 2 columns, got {len(row)}")
         try:
             knots.append((float(row[0]), float(row[1])))
         except ValueError as exc:
             raise ValueError(f"{path}: row {n}: non-numeric entry {row!r}") from exc
+        lines.append(n)
     if len(knots) < 2:
         raise ValueError(f"{path}: piecewise datum needs at least two knots, got {len(knots)}")
     bad = _knot_error(knots)
     if bad is not None:
-        # knot i sits at data row i + 1
-        raise ValueError(f"{path}: row {bad[0] + 1}: {bad[1]}")
+        raise ValueError(f"{path}: row {lines[bad[0] - 1]}: {bad[1]}")
     return BoundaryDatum.piecewise_linear(knots)
 
 
@@ -163,7 +148,7 @@ def parse_datum(spec: str) -> BoundaryDatum:
             raise ValueError(f"malformed datum arguments in {spec!r}") from exc
         if kind in _FAMILIES and len(args) == len(_FAMILIES[kind][0].split(",")):
             return BoundaryDatum(kind, tuple(args))
-        families = "".join(f"{name}:{spelling}, " for name, (spelling, _) in _FAMILIES.items())
+        families = "".join(f"{name}:{row[0]}, " for name, row in _FAMILIES.items())
         raise ValueError(f"unknown datum spec {spec!r}; expected {families}or a CSV file path")
     if os.path.exists(spec):
         return load_datum_csv(spec)
@@ -181,6 +166,7 @@ def sample_leaves(g: BoundaryDatum, tree: TruncatedTree,
         psis = leaf_psi_values(tree)
         if subsamples is None:
             return g.evaluate(psis)
+        check_integer("subsamples", subsamples)
         if subsamples < 1:
             raise ValueError(f"inf mode needs subsamples >= 1, got {subsamples}")
         if subsamples > SUBSAMPLE_BUDGET:

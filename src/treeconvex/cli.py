@@ -316,7 +316,7 @@ def _check_payload(check, labels: list[str]) -> dict:
     else:
         out["ok"] = check.ok
         out["checked"] = check.checked
-        out["violations"] = [labels[i] for i in check._flat]
+        out["violations"] = [labels[i] for i in check.violations]
     return out
 
 

@@ -96,23 +96,14 @@ class ConvexityCheck:
     """Outcome of a convexity predicate.
 
     `ok` is None when the check was skipped (brute-force budget exceeded);
-    `skipped` then carries the reason.  The violating vertices are kept as
-    flat indices of `_tree`, in the order found; `violations` builds them.
+    `skipped` then carries the reason.  `violations` holds the flat indices
+    of the violating vertices, in the order found.
     """
 
     ok: bool | None
     checked: int
     skipped: str | None = None
-    _tree: TruncatedTree | None = field(default=None, repr=False)
-    _flat: list[int] = field(default_factory=list)
-
-    @property
-    def violations(self) -> list[Vertex]:
-        return [self._tree.vertex_at(i) for i in self._flat]
-
-
-def _verdict(tree: TruncatedTree, flat: list[int], checked: int) -> ConvexityCheck:
-    return ConvexityCheck(ok=not flat, checked=checked, _tree=tree, _flat=flat)
+    violations: list[int] = field(default_factory=list)
 
 
 def _check_input(u: TreeFunction, tol: float) -> None:
@@ -128,7 +119,7 @@ def _operator_check(u: TreeFunction, variant: str, tol: float) -> ConvexityCheck
     flat = []
     for sl, op in operator_levels(tree, u.values, variant, None):
         flat += (sl.start + np.flatnonzero(u.values[sl] > op + tol)).tolist()
-    return _verdict(tree, flat, tree.interior_count)
+    return ConvexityCheck(ok=not flat, checked=tree.interior_count, violations=flat)
 
 
 def is_convex_operator(u: TreeFunction, tol: float = 1e-9) -> ConvexityCheck:
@@ -199,7 +190,7 @@ def is_convex_segment(u: TreeFunction, tol: float = 1e-9) -> ConvexityCheck:
         # a union keeps each vertex where the first block to flag it put it
         flat |= dict.fromkeys(iz[bad].tolist())
         checked += iz.size
-    return _verdict(tree, list(flat), checked)
+    return ConvexityCheck(ok=not flat, checked=checked, violations=list(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -293,4 +284,4 @@ def is_binary_convex(u: TreeFunction, tol: float = 1e-9, mode: str = "operator")
     bad = np.zeros(tree.interior_count, dtype=bool)
     for rows, averages in _subtree_averages(tree, vals):
         bad[rows] |= (vals[rows, None] > averages + tol).any(axis=1)
-    return _verdict(tree, np.flatnonzero(bad).tolist(), total)
+    return ConvexityCheck(ok=not bad.any(), checked=total, violations=np.flatnonzero(bad).tolist())

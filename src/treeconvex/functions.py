@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import TruncatedTree, Vertex
+from .tree import TruncatedTree
 
 
 @dataclass
@@ -24,14 +24,6 @@ class TreeFunction:
         u.validate()
         return u
 
-    @classmethod
-    def constant(cls, tree: TruncatedTree, value: float) -> TreeFunction:
-        return cls.from_values(tree, np.full(tree.vertex_count, value))
-
-    @classmethod
-    def zeros(cls, tree: TruncatedTree) -> TreeFunction:
-        return cls(tree, np.zeros(tree.vertex_count))
-
     def validate(self) -> None:
         """Raise ValueError unless there is one finite value per vertex."""
         tree = self.tree
@@ -42,16 +34,6 @@ class TreeFunction:
             )
         if not np.isfinite(self.values).all():
             raise ValueError("tree function values must be finite")
-
-    def value_at(self, v: Vertex) -> float:
-        return float(self.values[self.tree.flat_index(v)])
-
-    @property
-    def leaf_values(self) -> np.ndarray:
-        return self.values[self.tree.leaf_slice]
-
-    def copy(self) -> TreeFunction:
-        return TreeFunction(self.tree, self.values.copy())
 
 
 def csv_rows(path: str, reader):

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._kernels import PRED, TOUCH, _VARIANTS, check_variant, full_laplacian_weights, operator_levels
 from .functions import TreeFunction
-from .tree import TruncatedTree, Vertex
+from .tree import TruncatedTree, Vertex, check_integer
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,7 @@ class SolveConfig:
         check_variant(self.variant, self.k)
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        check_integer("max_iter", self.max_iter)
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 

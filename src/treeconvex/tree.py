@@ -85,6 +85,13 @@ class Vertex:
         return ".".join(str(d) for d in self.digits)
 
 
+def check_integer(name: str, value) -> None:
+    """Refuse a size or cap that is not a Python or NumPy integer: a float
+    such as 2.0 passes the range checks but breaks the counts built from it."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def psi(v: Vertex) -> Fraction:
     """Digit-expansion map: sum of digits[i] / m^(i+1), exactly."""
     from fractions import Fraction  # imported on call: no CLI command calls psi
@@ -110,6 +117,8 @@ class TruncatedTree:
     depth: int
 
     def __post_init__(self) -> None:
+        check_integer("m", self.m)
+        check_integer("depth", self.depth)
         if self.m < 2:
             raise ValueError(f"branching factor must be >= 2, got {self.m}")
         if self.depth < 1:

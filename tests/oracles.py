@@ -210,13 +210,13 @@ def flat_index(m: int, digits: tuple) -> int:
     return (m ** len(digits) - 1) // (m - 1) + index
 
 
-def value_at(u: TreeFunction, digits: tuple) -> float:
+def digit_value(u: TreeFunction, digits: tuple) -> float:
     return float(u.values[flat_index(u.tree.m, digits)])
 
 
 def successor_values(u: TreeFunction, x: Vertex) -> list[float]:
     """u at the m successors of x, in digit order."""
-    return [value_at(u, x.digits + (c,)) for c in range(u.tree.m)]
+    return [digit_value(u, x.digits + (c,)) for c in range(u.tree.m)]
 
 
 def check_k(k: int, m: int) -> None:
@@ -236,21 +236,21 @@ def op_kconvex(u: TreeFunction, x: Vertex, k: int) -> float:
 def eigenvalues_convex(u: TreeFunction, x: Vertex) -> list[float]:
     """All second-difference terms at a non-root x: the C(m,2) successor-pair
     terms, then the m predecessor-branch terms."""
-    m, s, ux = u.tree.m, successor_values(u, x), value_at(u, x.digits)
-    up = value_at(u, x.parent.digits)
+    m, s, ux = u.tree.m, successor_values(u, x), digit_value(u, x.digits)
+    up = digit_value(u, x.parent.digits)
     return ([(a + b - 2 * ux) / 2 for a, b in combinations(s, 2)]
             + [(up + m * y - (m + 1) * ux) / (m + 1) for y in s])
 
 
 def eigenvalues_binary(u: TreeFunction, x: Vertex) -> list[float]:
     """The C(m,2) successor-pair terms (u(y) + u(y')) / 2 - u(x)."""
-    ux = value_at(u, x.digits)
+    ux = digit_value(u, x.digits)
     return [0.5 * a + 0.5 * b - ux for a, b in combinations(successor_values(u, x), 2)]
 
 
 def eigenvalues_k(u: TreeFunction, x: Vertex, k: int) -> list[float]:
     """The C(m,k) k-subset-average terms (1/k) * sum u(x,j_i) - u(x)."""
-    s, ux = successor_values(u, x), value_at(u, x.digits)
+    s, ux = successor_values(u, x), digit_value(u, x.digits)
     check_k(k, len(s))
     return [sum(subset) / k - ux for subset in combinations(s, k)]
 
@@ -259,13 +259,13 @@ def laplacian_residual(u: TreeFunction, x: Vertex) -> float:
     """Defect at a non-root x of the full-tree mean-value identity
     u(x) = 2/(m+1)^2 * u(parent) + (m^2+2m-1)/(m+1)^2 * successor average."""
     m, s = u.tree.m, successor_values(u, x)
-    return (2 / (m + 1) ** 2 * value_at(u, x.parent.digits)
-            + (m * m + 2 * m - 1) / (m + 1) ** 2 * (sum(s) / m) - value_at(u, x.digits))
+    return (2 / (m + 1) ** 2 * digit_value(u, x.parent.digits)
+            + (m * m + 2 * m - 1) / (m + 1) ** 2 * (sum(s) / m) - digit_value(u, x.digits))
 
 
 def arborescence_laplacian(u: TreeFunction, x: Vertex) -> float:
     """Successor average minus the value at x."""
-    return sum(successor_values(u, x)) / u.tree.m - value_at(u, x.digits)
+    return sum(successor_values(u, x)) / u.tree.m - digit_value(u, x.digits)
 
 
 def descendants(tree: TruncatedTree, x0: Vertex):

@@ -86,8 +86,9 @@ def test_criterion_1_reference_fixed_points():
                 b = oracles.reference_binary_indicator(tree, x0)
                 # The equations are positively homogeneous, so only the
                 # closed form's value at x0 pins the scale.
-                if u.value_at(x0) != (m - 1) / m or b.value_at(x0) != 1.0:
-                    failures.append((m, str(x0), "both", "value at x0", (u.value_at(x0), b.value_at(x0))))
+                ux, bx = float(u.values[tree.flat_index(x0)]), float(b.values[tree.flat_index(x0)])
+                if ux != (m - 1) / m or bx != 1.0:
+                    failures.append((m, str(x0), "both", "value at x0", (ux, bx)))
                 # At m = 2 the parent of x0 has one zero-valued successor
                 # beside x0, so its pair term is u(x0)/2 > 0; for the convex
                 # reference the predecessor branch still gives 0 below the root.
@@ -104,7 +105,7 @@ def test_criterion_1_reference_fixed_points():
                     if defect.min() < -1e-12:
                         failures.append((m, str(x0), variant, "u > op", -defect.min()))
                     if gap_at is not None:
-                        exact = op_at(f, gap_at) - f.value_at(gap_at)
+                        exact = op_at(f, gap_at) - f.values[tree.flat_index(gap_at)]
                         if exact == gap:
                             gaps[variant] += 1
                         else:
@@ -152,7 +153,8 @@ def _criterion_2_suite():
     adversarial: list[tuple[TreeFunction, str]] = []
     for m, depth in [(2, 4), (3, 3)]:
         tree = TruncatedTree(m, depth)
-        adversarial.append((TreeFunction.constant(tree, -3.7), f"constant m={m}"))
+        adversarial.append((TreeFunction.from_values(tree, np.full(tree.vertex_count, -3.7)),
+                            f"constant m={m}"))
         adversarial.append((level_profile(tree, float), f"level m={m}"))
         adversarial.append((level_profile(tree, lambda k: -float(k)), f"neg-level m={m}"))
         adversarial.append((level_profile(
@@ -162,10 +164,10 @@ def _criterion_2_suite():
         adversarial.append((ref, f"convex-ref m={m}"))
         adversarial.append((oracles.reference_binary_indicator(tree, Vertex(m, (1,))),
                             f"binary-ref m={m}"))
-        spiked = ref.copy()
+        spiked = TreeFunction.from_values(tree, ref.values)
         spiked.values[tree.flat_index(Vertex.from_level_index(m, depth - 1, 0))] += 0.5
         adversarial.append((spiked, f"spiked-ref m={m}"))
-        dipped = TreeFunction.zeros(tree)
+        dipped = TreeFunction.from_values(tree, np.zeros(tree.vertex_count))
         dipped.values[tree.vertex_count - 1] = -1.0
         adversarial.append((dipped, f"leaf-dip m={m}"))
         tiny = np.full(tree.vertex_count, 2.0)
@@ -254,7 +256,7 @@ def test_criterion_4_largest_solution_and_comparison():
             level = int(rng.integers(1, 4))
             x0 = Vertex.from_level_index(m, level, int(rng.integers(0, m**level)))
             ref = oracles.reference_convex_indicator(tree, x0)
-            scale = float(g[np.nonzero(ref.leaf_values > 0)[0]].min())
+            scale = float(g[np.nonzero(ref.values[tree.leaf_slice] > 0)[0]].min())
             candidates.append(scale * ref.values)
         for _ in range(5):
             a, b = rng.uniform(0, 1, 2)
@@ -264,7 +266,7 @@ def test_criterion_4_largest_solution_and_comparison():
             vf = TreeFunction.from_values(tree, v)
             op = operator_values(tree, vf.values, "convex")
             assert np.all(vf.values[interior] <= op[interior] + 1e-9), "not a subsolution"
-            assert np.all(vf.leaf_values <= g + 1e-12), "exceeds the leaf data"
+            assert np.all(vf.values[tree.leaf_slice] <= g + 1e-12), "exceeds the leaf data"
             if not np.all(v <= u + 1e-10):
                 subsolution_failures += 1
     assert subsolutions == 50

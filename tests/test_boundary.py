@@ -29,19 +29,19 @@ def at(g, *ts):
 
 class TestDatumFamilies:
     def test_evaluations(self):
-        assert at(BoundaryDatum.constant(2.5), 0.3) == [2.5]
-        assert at(BoundaryDatum.affine(2.0, -1.0), 0.75) == pytest.approx([0.5])
-        assert at(BoundaryDatum.power(2), 0.5) == [0.25]
-        assert at(BoundaryDatum.abs_dev(0.5), 0.2) == pytest.approx([0.3])
-        assert at(BoundaryDatum.indicator(0.25, 0.5), 0.25, 0.5, 0.6) == [1.0, 1.0, 0.0]
+        assert at(parse_datum("constant:2.5"), 0.3) == [2.5]
+        assert at(parse_datum("affine:2,-1"), 0.75) == pytest.approx([0.5])
+        assert at(parse_datum("power:2"), 0.5) == [0.25]
+        assert at(parse_datum("absdev:0.5"), 0.2) == pytest.approx([0.3])
+        assert at(parse_datum("indicator:0.25,0.5"), 0.25, 0.5, 0.6) == [1.0, 1.0, 0.0]
         pw = BoundaryDatum.piecewise_linear([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
         assert at(pw, 0.25) == pytest.approx([0.5])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BoundaryDatum.power(-1)
+            BoundaryDatum("power", (-1,))
         with pytest.raises(ValueError):
-            BoundaryDatum.indicator(0.5, 0.25)
+            BoundaryDatum("indicator", (0.5, 0.25))
         with pytest.raises(ValueError, match="first t"):
             BoundaryDatum.piecewise_linear([(0.1, 0.0), (1.0, 1.0)])
         with pytest.raises(ValueError, match="last t"):
@@ -50,11 +50,11 @@ class TestDatumFamilies:
             BoundaryDatum.piecewise_linear([(0.0, 0.0), (0.4, 1.0), (0.4, 2.0), (1.0, 0.0)])
 
     def test_parse_specs(self):
-        assert parse_datum("constant:2") == BoundaryDatum.constant(2.0)
-        assert parse_datum("affine:1,0") == BoundaryDatum.affine(1.0, 0.0)
-        assert parse_datum("power:2") == BoundaryDatum.power(2.0)
-        assert parse_datum("absdev:0.5") == BoundaryDatum.abs_dev(0.5)
-        assert parse_datum("indicator:0.25,0.75") == BoundaryDatum.indicator(0.25, 0.75)
+        assert parse_datum("constant:2") == BoundaryDatum("constant", (2.0,))
+        assert parse_datum("affine:1,0") == BoundaryDatum("affine", (1.0, 0.0))
+        assert parse_datum("power:2") == BoundaryDatum("power", (2.0,))
+        assert parse_datum("absdev:0.5") == BoundaryDatum("absdev", (0.5,))
+        assert parse_datum("indicator:0.25,0.75") == BoundaryDatum("indicator", (0.25, 0.75))
         with pytest.raises(ValueError, match="unknown datum"):
             parse_datum("sine:1")
         with pytest.raises(ValueError, match="neither"):
@@ -94,6 +94,23 @@ class TestDatumFamilies:
             assert str(exc.value) == (f"{short}: piecewise datum needs at least two knots, "
                                       f"got {len(rows)}")
 
+    def test_csv_blank_lines_are_skipped(self, tmp_path):
+        # as in a function CSV, and a row is still named by its file line
+        path = tmp_path / "b.csv"
+        for text in ("t,g\n0,0\n\n1,1\n", "t,g\n0,0\n1,1\n\n", "t,g\n\n\n0,0\n\n1,1\n\n\n"):
+            path.write_text(text)
+            assert load_datum_csv(str(path)).knots == ((0.0, 0.0), (1.0, 1.0))
+        for text, message in [
+                ("t,g\n0,0\n\n0.5,x\n1,1\n", "row 4: non-numeric entry ['0.5', 'x']"),
+                ("t,g\n0,0\n\n0.5,1,2\n1,1\n", "row 4: expected 2 columns, got 3"),
+                ("t,g\n0,0\n\n0.6,1\n\n0.4,2\n1,1\n",
+                 "row 6: t must increase strictly (0.4 after 0.6)"),
+                ("t,g\n0,0\n0.5,1\n\n0.9,1\n\n", "row 5: last t must be 1, got 0.9")]:
+            path.write_text(text)
+            with pytest.raises(ValueError) as exc:
+                load_datum_csv(str(path))
+            assert str(exc.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("knots,number,reason", [
         ([(0.1, 0.0), (1.0, 1.0)], 1, "first t must be 0, got 0.1"),
         ([(0.0, 0.0), (0.5, 1.0), (0.9, 0.0)], 3, "last t must be 1, got 0.9"),
@@ -117,16 +134,14 @@ class TestDatumFamilies:
         assert str(file.value) == f"{path}: row {number + 1}: {reason}"
 
 
-# each builtin family: its spec, the classmethod call that builds the same
-# datum, and g written out apart from the library's table, bit for bit
+# each builtin family: its spec, the parameters that build the same datum
+# directly, and g written out apart from the library's table, bit for bit
 FAMILY_CASES = {
-    "constant": ("constant:2.5", lambda: BoundaryDatum.constant(2.5),
-                 lambda t: np.full(t.shape, 2.5)),
-    "affine": ("affine:2,-1", lambda: BoundaryDatum.affine(2.0, -1.0), lambda t: 2.0 * t - 1.0),
-    "power": ("power:2", lambda: BoundaryDatum.power(2.0), lambda t: t * t),
-    "absdev": ("absdev:0.3", lambda: BoundaryDatum.abs_dev(0.3),
-               lambda t: np.where(t >= 0.3, t - 0.3, 0.3 - t)),
-    "indicator": ("indicator:0.25,0.75", lambda: BoundaryDatum.indicator(0.25, 0.75),
+    "constant": ("constant:2.5", (2.5,), lambda t: np.full(t.shape, 2.5)),
+    "affine": ("affine:2,-1", (2.0, -1.0), lambda t: 2.0 * t - 1.0),
+    "power": ("power:2", (2.0,), lambda t: t * t),
+    "absdev": ("absdev:0.3", (0.3,), lambda t: np.where(t >= 0.3, t - 0.3, 0.3 - t)),
+    "indicator": ("indicator:0.25,0.75", (0.25, 0.75),
                   lambda t: np.where((t >= 0.25) & (t <= 0.75), 1.0, 0.0)),
 }
 
@@ -135,10 +150,53 @@ class TestFamilyTable:
     def test_cases_cover_the_table(self):
         assert set(FAMILY_CASES) == set(_FAMILIES)
 
+    def test_rows(self):
+        # each row's spelling, and the parameters its rule refuses
+        assert {name: row[0] for name, row in _FAMILIES.items()} == {
+            "constant": "c", "affine": "a,b", "power": "p", "absdev": "c", "indicator": "lo,hi"}
+        rules = {name: row[2] for name, row in _FAMILIES.items() if row[2] is not None}
+        assert set(rules) == {"power", "indicator"}
+        assert [rules["power"](p) for p in (0.0, 2.5, -0.5, -1)] == [
+            None, None, "power exponent must be >= 0, got -0.5",
+            "power exponent must be >= 0, got -1"]
+        assert [rules["indicator"](*p) for p in ((0.5, 0.5), (0.25, 0.75), (0.75, 0.25))] == [
+            None, None, "indicator needs lo <= hi, got [0.75, 0.25]"]
+
+    @pytest.mark.parametrize("kind,params,message,spec,spec_message", [
+        ("constant", (), "constant datum takes 1 parameters, got 0", "constant:", None),
+        ("affine", (1, 2, 3), "affine datum takes 2 parameters, got 3", "affine:1,2,3", None),
+        ("indicator", (0.5,), "indicator datum takes 2 parameters, got 1", "indicator:0.5", None),
+        ("absdev", (np.inf,), "absdev parameter c must be finite, got inf", "absdev:inf",
+         "absdev parameter c must be finite, got inf"),
+        ("affine", (np.nan, 0), "affine parameter a must be finite, got nan", "affine:nan,0",
+         "affine parameter a must be finite, got nan"),
+        ("indicator", (0.0, -np.inf), "indicator parameter hi must be finite, got -inf",
+         "indicator:0,-inf", "indicator parameter hi must be finite, got -inf"),
+        ("power", (-1,), "power exponent must be >= 0, got -1", "power:-1",
+         "power exponent must be >= 0, got -1.0"),
+        ("power", (-0.5,), "power exponent must be >= 0, got -0.5", "power:-0.5",
+         "power exponent must be >= 0, got -0.5"),
+        ("indicator", (1, 0), "indicator needs lo <= hi, got [1, 0]", "indicator:1,0",
+         "indicator needs lo <= hi, got [1.0, 0.0]"),
+        ("indicator", (0.75, 0.25), "indicator needs lo <= hi, got [0.75, 0.25]",
+         "indicator:0.75,0.25", "indicator needs lo <= hi, got [0.75, 0.25]"),
+    ], ids=["constant-count", "affine-count", "indicator-count", "absdev-inf", "affine-nan",
+            "indicator-inf", "power-int", "power-float", "indicator-int", "indicator-float"])
+    def test_bad_parameters_by_both_routes(self, kind, params, message, spec, spec_message):
+        # a spec with the wrong count spells no family
+        spellings = "constant:c, affine:a,b, power:p, absdev:c, indicator:lo,hi"
+        spec_message = spec_message or (
+            f"unknown datum spec {spec!r}; expected {spellings}, or a CSV file path")
+        for build, want in ((lambda: BoundaryDatum(kind, params), message),
+                            (lambda: parse_datum(spec), spec_message)):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == want
+
     @pytest.mark.parametrize("name", sorted(FAMILY_CASES))
     def test_spec_classmethod_and_closed_form(self, name):
-        spec, build, closed = FAMILY_CASES[name]
-        datum = build()
+        spec, params, closed = FAMILY_CASES[name]
+        datum = BoundaryDatum(name, params)
         assert parse_datum(spec) == datum
         assert datum.kind == name
         edges = [0.0, 1.0, 0.25, 0.75, np.nextafter(0.25, 0), np.nextafter(0.75, 1), 0.3]
@@ -173,7 +231,8 @@ class TestFamilyTable:
         assert str(exc.value) == message
 
     def test_direct_construction_takes_floats(self):
-        assert BoundaryDatum("constant", (1,)) == BoundaryDatum.constant(1.0)
+        params = BoundaryDatum("constant", (1,)).params
+        assert params == (1.0,) and type(params[0]) is float
         datum = BoundaryDatum("piecewise_linear", (), [[0, 1], [1, 3]])
         assert datum.knots == ((0.0, 1.0), (1.0, 3.0))
         assert all(type(v) is float for knot in datum.knots for v in knot)
@@ -183,27 +242,27 @@ class TestFamilyTable:
 class TestSampling:
     def test_affine_point_mode_example(self):
         tree = TruncatedTree(2, 2)
-        leaves = sample_leaves(BoundaryDatum.affine(1.0, 0.0), tree)
+        leaves = sample_leaves(BoundaryDatum("affine", (1.0, 0.0)), tree)
         np.testing.assert_array_equal(leaves, [0.0, 0.25, 0.5, 0.75])
 
     def test_constant_both_modes(self):
         tree = TruncatedTree(3, 3)
-        g = BoundaryDatum.constant(1.25)
+        g = BoundaryDatum("constant", (1.25,))
         np.testing.assert_array_equal(sample_leaves(g, tree), 1.25)
         np.testing.assert_array_equal(sample_leaves(g, tree, 8), 1.25)
 
     def test_indicator_covers_subtree_leaves(self):
         tree = TruncatedTree(3, 4)
         x0 = Vertex(3, (1,))
-        g = BoundaryDatum.indicator(1 / 3, 2 / 3)
+        g = BoundaryDatum("indicator", (1 / 3, 2 / 3))
         leaves = sample_leaves(g, tree)
         ref = oracles.reference_binary_indicator(tree, x0)
-        below = ref.leaf_values > 0
+        below = ref.values[tree.leaf_slice] > 0
         assert np.all(leaves[below] == 1.0)
 
     def test_monotone_datum_gives_monotone_leaves(self):
         tree = TruncatedTree(2, 6)
-        for g in (BoundaryDatum.affine(3.0, -1.0), BoundaryDatum.power(2)):
+        for g in (BoundaryDatum("affine", (3.0, -1.0)), BoundaryDatum("power", (2,))):
             leaves = sample_leaves(g, tree)
             assert np.all(np.diff(leaves) >= 0)
 
@@ -212,7 +271,7 @@ class TestSampling:
         tree = TruncatedTree(2, 5)
         knots = [(0.0, 0.0)] + [(t, float(rng.uniform(-1, 1)))
                                 for t in np.linspace(0.2, 0.8, 4)] + [(1.0, 0.0)]
-        for g in (BoundaryDatum.abs_dev(0.3), BoundaryDatum.piecewise_linear(knots)):
+        for g in (BoundaryDatum("absdev", (0.3,)), BoundaryDatum.piecewise_linear(knots)):
             point = sample_leaves(g, tree)
             inf = sample_leaves(g, tree, 16)
             assert np.all(inf <= point + 1e-15)
@@ -225,13 +284,22 @@ class TestSampling:
 
     def test_mode_validation(self):
         tree = TruncatedTree(2, 2)
-        g = BoundaryDatum.constant(0.0)
+        g = BoundaryDatum("constant", (0.0,))
         with pytest.raises(ValueError, match="subsamples"):
             sample_leaves(g, tree, 0)
 
+    def test_subsamples_must_be_an_integer(self):
+        tree = TruncatedTree(2, 3)
+        g = BoundaryDatum("absdev", (0.3,))
+        for bad in (2.5, 2.0):
+            with pytest.raises(ValueError) as exc:
+                sample_leaves(g, tree, bad)
+            assert str(exc.value) == f"subsamples must be an integer, got {bad}"
+        np.testing.assert_array_equal(sample_leaves(g, tree, np.int64(3)), sample_leaves(g, tree, 3))
+
     def test_subsample_budget(self):
         tree = TruncatedTree(2, 2)
-        g = BoundaryDatum.constant(0.5)
+        g = BoundaryDatum("constant", (0.5,))
         with pytest.raises(ValueError, match=f"{SUBSAMPLE_BUDGET + 1} subsamples exceed "
                                              f"the budget of {SUBSAMPLE_BUDGET} per leaf"):
             sample_leaves(g, tree, SUBSAMPLE_BUDGET + 1)
@@ -242,7 +310,7 @@ class TestSampling:
         # blocks hold about 2^20 points whatever N is; in one block of all
         # 4096 leaves, N = 4095 took about 400 MB against 25 MB for N = 255
         tree = TruncatedTree(2, 12)
-        g = BoundaryDatum.abs_dev(0.3)
+        g = BoundaryDatum("absdev", (0.3,))
         peaks = []
         for n in (255, 4095):
             tracemalloc.start()
@@ -256,20 +324,20 @@ class TestSampling:
 
 class TestConvergenceStudy:
     def test_constant_has_zero_deltas(self):
-        series = convergence_study(BoundaryDatum.constant(3.0), 2, [2, 3, 4],
+        series = convergence_study(BoundaryDatum("constant", (3.0,)), 2, [2, 3, 4],
                                    SolveConfig(variant="convex"))
         assert series.root_values == [3.0, 3.0, 3.0]
         assert series.deltas == [0.0, 0.0]
         assert all(series.converged)
 
     def test_square_datum_deltas_positive_decreasing(self):
-        series = convergence_study(BoundaryDatum.power(2), 2, list(range(4, 10)),
+        series = convergence_study(BoundaryDatum("power", (2,)), 2, list(range(4, 10)),
                                    SolveConfig(variant="convex"))
         assert all(d > 0 for d in series.deltas)
         assert all(b <= a for a, b in zip(series.deltas, series.deltas[1:]))
 
     def test_binary_indicator_recovered_below_x0(self):
-        g = BoundaryDatum.indicator(1 / 3, 2 / 3)
+        g = BoundaryDatum("indicator", (1 / 3, 2 / 3))
         cfg = SolveConfig(variant="binary")
         x0 = Vertex(3, (1,))
         for depth in (2, 3, 4):
@@ -283,25 +351,25 @@ class TestConvergenceStudy:
 
     def test_root_values_within_datum_range(self):
         for variant in ("convex", "binary", "laplacian_arborescence"):
-            series = convergence_study(BoundaryDatum.abs_dev(0.4), 2, [3, 5, 7],
+            series = convergence_study(BoundaryDatum("absdev", (0.4,)), 2, [3, 5, 7],
                                        SolveConfig(variant=variant))
             assert all(0.0 <= r <= 0.6 for r in series.root_values)
 
     def test_budget_error_names_depth(self):
         with pytest.raises(ValueError, match="depth 30"):
-            convergence_study(BoundaryDatum.constant(0.0), 2, [4, 30],
+            convergence_study(BoundaryDatum("constant", (0.0,)), 2, [4, 30],
                               SolveConfig(variant="binary"))
         # past the budget's bit length the leaf count is neither formed nor printed
         with pytest.raises(ValueError) as exc:
-            convergence_study(BoundaryDatum.constant(0.0), 7, [10**6],
+            convergence_study(BoundaryDatum("constant", (0.0,)), 7, [10**6],
                               SolveConfig(variant="binary"))
         assert str(exc.value) == ("depth 1000000 exceeds the study budget "
                                   "(m^depth > 16777216 leaves)")
 
     def test_depths_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            convergence_study(BoundaryDatum.constant(0.0), 2, [4, 4],
+            convergence_study(BoundaryDatum("constant", (0.0,)), 2, [4, 4],
                               SolveConfig(variant="binary"))
         with pytest.raises(ValueError, match="non-empty"):
-            convergence_study(BoundaryDatum.constant(0.0), 2, [],
+            convergence_study(BoundaryDatum("constant", (0.0,)), 2, [],
                               SolveConfig(variant="binary"))

@@ -205,6 +205,22 @@ class TestSolve:
         assert code == 2
         assert "row 4" in capsys.readouterr().err
 
+    def test_datum_csv_blank_lines(self, tmp_path, capsys):
+        # a blank line inside a datum file or at its end is skipped, as in a
+        # function CSV; a refused row is named by its file line
+        for name, text in [("plain", "t,g\n0,0\n1,1\n"), ("inside", "t,g\n0,0\n\n1,1\n"),
+                           ("end", "t,g\n0,0\n1,1\n\n")]:
+            datum = tmp_path / f"{name}.csv"
+            datum.write_text(text)
+            assert run("solve", "--m", "2", "--depth", "3", "--datum", str(datum),
+                       "--out-csv", str(tmp_path / f"{name}-u.csv")) == 0
+        assert (tmp_path / "inside-u.csv").read_bytes() == (tmp_path / "plain-u.csv").read_bytes()
+        assert (tmp_path / "end-u.csv").read_bytes() == (tmp_path / "plain-u.csv").read_bytes()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,g\n0,0\n\n0.5\n1,1\n")
+        assert run("solve", "--m", "2", "--depth", "3", "--datum", str(bad)) == 2
+        assert capsys.readouterr().err == f"error: {bad}: row 4: expected 2 columns, got 1\n"
+
     def test_oversized_depth_names_budget(self, capsys):
         # refused by depth before the vertex count is formed or printed
         assert run("solve", "--m", "2", "--depth", "20000", "--datum", "constant:1") == 2
@@ -637,7 +653,8 @@ class TestCheck:
                    "binary_subtrees": is_binary_convex(u, mode="subtrees")}
         for name, check in library.items():
             assert check.violations, name
-            assert checks[name]["violations"] == [str(v) for v in check.violations], name
+            want = [str(tree.vertex_at(i)) for i in check.violations]
+            assert checks[name]["violations"] == want, name
 
 
 class TestArtifactBytes:

@@ -84,7 +84,7 @@ class TestOperators:
                 assert row["binary", None] == op_binary(u, x), x
                 for k in range(2, m + 1):
                     assert row["kconvex", k] == oracles.op_kconvex(u, x, k), (x, k)
-                ux = u.value_at(x)
+                ux = u.values[tree.flat_index(x)]
                 arb = ux + oracles.arborescence_laplacian(u, x)
                 full = arb if x.is_root else ux + oracles.laplacian_residual(u, x)
                 assert abs(row["laplacian_full", None] - full) <= 1e-15, x
@@ -92,7 +92,7 @@ class TestOperators:
 
     def test_constant_is_fixed(self):
         tree = TruncatedTree(3, 2)
-        u = TreeFunction.constant(tree, 4.25)
+        u = TreeFunction.from_values(tree, np.full(tree.vertex_count, 4.25))
         for x in interior_vertices(tree):
             assert op_convex(u, x) == 4.25
             assert op_binary(u, x) == 4.25
@@ -105,7 +105,7 @@ class TestOperators:
         x0 = Vertex(3, (1,))
         u = oracles.reference_convex_indicator(tree, x0)
         assert op_convex(u, x0) == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert u.value_at(x0) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert u.values[tree.flat_index(x0)] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_op_binary_examples(self):
         tree = TruncatedTree(3, 1)
@@ -132,11 +132,11 @@ class TestOperators:
             for x in interior_vertices(tree):
                 assert oracles.op_kconvex(u, x, 2) == op_binary(u, x)
                 assert oracles.op_kconvex(u, x, 4) == pytest.approx(
-                    float(np.mean([u.value_at(c) for c in children(x)])), abs=1e-14)
+                    float(np.mean([u.values[tree.flat_index(c)] for c in children(x)])), abs=1e-14)
 
     def test_leaf_rejected(self):
         tree = TruncatedTree(2, 2)
-        u = TreeFunction.zeros(tree)
+        u = TreeFunction.from_values(tree, np.zeros(tree.vertex_count))
         leaf = Vertex(2, (0, 1))
         for fn in (op_convex, op_binary):
             with pytest.raises(ValueError, match="leaf"):
@@ -159,7 +159,7 @@ def exact_full_laplacian_defect(m, up, ux, succ):
 class TestEigenvalues:
     def test_constant_gives_zeros(self):
         tree = TruncatedTree(3, 2)
-        u = TreeFunction.constant(tree, 2.5)
+        u = TreeFunction.from_values(tree, np.full(tree.vertex_count, 2.5))
         x = Vertex(3, (1,))
         assert oracles.eigenvalues_convex(u, x) == pytest.approx([0.0] * 6, abs=1e-15)
         assert oracles.eigenvalues_binary(u, x) == pytest.approx([0.0] * 3, abs=1e-15)
@@ -174,7 +174,7 @@ class TestEigenvalues:
                 for x in interior_vertices(tree):
                     if x.is_root:
                         continue
-                    gap = op_convex(u, x) - u.value_at(x)
+                    gap = op_convex(u, x) - u.values[tree.flat_index(x)]
                     assert min(oracles.eigenvalues_convex(u, x)) == pytest.approx(gap, abs=1e-12)
 
     def test_sum_identities_exact_rational(self):
@@ -220,7 +220,7 @@ class TestEigenvalues:
 class TestLaplacians:
     def test_constant_zero_and_coefficients_sum(self):
         tree = TruncatedTree(4, 2)
-        u = TreeFunction.constant(tree, -1.75)
+        u = TreeFunction.from_values(tree, np.full(tree.vertex_count, -1.75))
         x = Vertex(4, (2,))
         assert oracles.laplacian_residual(u, x) == pytest.approx(0.0, abs=1e-15)
         assert oracles.arborescence_laplacian(u, x) == pytest.approx(0.0, abs=1e-15)
@@ -253,9 +253,9 @@ class TestReferences:
     def test_convex_indicator_values(self):
         tree = TruncatedTree(3, 4)
         u = oracles.reference_convex_indicator(tree, Vertex(3, (1,)))
-        assert u.value_at(Vertex(3, (1,))) == pytest.approx(2 / 3, abs=1e-15)
-        assert u.value_at(Vertex(3, (1, 0))) == pytest.approx(8 / 9, abs=1e-15)
-        assert u.value_at(Vertex(3, (0,))) == 0.0
+        assert u.values[tree.flat_index(Vertex(3, (1,)))] == pytest.approx(2 / 3, abs=1e-15)
+        assert u.values[tree.flat_index(Vertex(3, (1, 0)))] == pytest.approx(8 / 9, abs=1e-15)
+        assert u.values[tree.flat_index(Vertex(3, (0,)))] == 0.0
 
     def test_convex_indicator_closed_form_and_limit(self):
         # the level sums telescope: value at relative depth j is 1 - m^-(j+1)
@@ -266,8 +266,8 @@ class TestReferences:
             v = x0
             branch_values = []
             for j in range(tree.depth - x0.level + 1):
-                assert u.value_at(v) == float(1 - Fraction(1, m ** (j + 1)))
-                branch_values.append(u.value_at(v))
+                branch_values.append(u.values[tree.flat_index(v)])
+                assert branch_values[-1] == float(1 - Fraction(1, m ** (j + 1)))
                 v = children(v)[0]
             # strictly increasing toward 1 down any branch inside the subtree
             assert all(a < b < 1.0 for a, b in zip(branch_values, branch_values[1:]))
@@ -302,37 +302,37 @@ class TestReferences:
         tree = TruncatedTree(3, 3)
         x0 = Vertex(3, (1,))
         u = oracles.reference_binary_indicator(tree, x0)
-        assert u.value_at(x0) == 1.0
-        assert u.value_at(Vertex(3, (0,))) == 0.0
+        assert u.values[tree.flat_index(x0)] == 1.0
+        assert u.values[tree.flat_index(Vertex(3, (0,)))] == 0.0
         assert is_binary_convex(u, mode="operator").ok
         assert is_binary_convex(u, mode="subtrees").ok
         # not convex: at x0 the predecessor branch gives m/(m+1) < 1
         assert op_convex(u, x0) == pytest.approx(3 / 4)
         check = is_convex_operator(u)
         assert not check.ok
-        assert x0 in check.violations
+        assert tree.flat_index(x0) in check.violations
 
 
 def assert_pointwise_violations(check, u, op):
     """An operator check lists, in strictly increasing flat order, exactly the
     interior vertices where the pointwise operator is exceeded by more than
     the default tol."""
-    assert all(a < b for a, b in zip(check._flat, check._flat[1:]))
-    assert check.violations == [x for x in interior_vertices(u.tree)
-                                if u.value_at(x) > op(u, x) + 1e-9]
+    assert all(a < b for a, b in zip(check.violations, check.violations[1:]))
+    assert check.violations == [flat for flat, x in enumerate(interior_vertices(u.tree))
+                                if u.values[flat] > op(u, x) + 1e-9]
 
 
 class TestPredicates:
     def test_constant_passes_everything(self):
         tree = TruncatedTree(2, 3)
-        u = TreeFunction.constant(tree, 1.0)
+        u = TreeFunction.from_values(tree, np.ones(tree.vertex_count))
         assert is_convex_operator(u).ok
         assert is_convex_segment(u).ok
         assert is_binary_convex(u, mode="operator").ok
         assert is_binary_convex(u, mode="subtrees").ok
 
     def test_unknown_binary_mode_refused(self):
-        u = TreeFunction.constant(TruncatedTree(2, 2), 1.0)
+        u = TreeFunction.from_values(TruncatedTree(2, 2), np.ones(7))
         with pytest.raises(ValueError) as exc:
             is_binary_convex(u, mode="x")
         assert str(exc.value) == "mode must be 'operator' or 'subtrees', got 'x'"
@@ -342,7 +342,7 @@ class TestPredicates:
                   lambda u, tol: is_binary_convex(u, tol, mode="subtrees")]
 
     def test_tol_must_be_finite_and_non_negative(self):
-        u = TreeFunction.constant(TruncatedTree(2, 2), 1.0)
+        u = TreeFunction.from_values(TruncatedTree(2, 2), np.ones(7))
         for predicate in self.PREDICATES:
             for tol in (np.nan, np.inf, -1.0):
                 with pytest.raises(ValueError, match="finite and non-negative"):
@@ -368,7 +368,7 @@ class TestPredicates:
         tree = TruncatedTree(2, 2)
         u = function_with(tree, {"root": 5.0})
         check = is_convex_operator(u)
-        assert not check.ok and check.violations == [Vertex(2, ())]
+        assert not check.ok and check.violations == [0]
         assert not is_convex_segment(u).ok
 
     def test_operator_segment_agreement_smoke(self):
@@ -381,7 +381,7 @@ class TestPredicates:
                 check = is_convex_operator(u)
                 assert check.ok == is_convex_segment(u).ok
                 assert_pointwise_violations(check, u, op_convex)
-                levels.add(len({x.level for x in check.violations}))
+                levels.add(len({tree.vertex_at(flat).level for flat in check.violations}))
         assert max(levels) >= 3
 
     def test_binary_mode_agreement_smoke(self):
@@ -394,7 +394,7 @@ class TestPredicates:
                 check = is_binary_convex(u, mode="operator")
                 assert check.ok == is_binary_convex(u, mode="subtrees").ok
                 assert_pointwise_violations(check, u, op_binary)
-                levels.add(len({x.level for x in check.violations}))
+                levels.add(len({tree.vertex_at(flat).level for flat in check.violations}))
         assert max(levels) >= 3
 
     def test_convex_implies_binary(self):
@@ -423,7 +423,7 @@ class TestPredicates:
     def test_segment_budget_refusal(self):
         for depth in (9, 14):  # 1023 and 32767 vertices
             tree = TruncatedTree(2, depth)
-            u = TreeFunction.constant(tree, 0.0)
+            u = TreeFunction.from_values(tree, np.zeros(tree.vertex_count))
             check = is_convex_segment(u)
             assert check.ok is None
             assert "budget" in check.skipped
@@ -438,7 +438,7 @@ class TestPredicates:
             subtrees = is_binary_convex(u, mode="subtrees")
             operator = is_binary_convex(u, mode="operator")
             assert subtrees.checked == 3
-            assert (subtrees.ok, subtrees._flat) == (operator.ok, operator._flat)
+            assert (subtrees.ok, subtrees.violations) == (operator.ok, operator.violations)
 
     def test_segment_budget_edge_runs(self):
         tree = TruncatedTree(2, 8)  # 511 vertices, the largest binary tree inside the budget
@@ -482,18 +482,21 @@ class TestPredicates:
         # full-depth enumeration at the root explodes at m=3 depth 4, and at
         # m=2 from depth 6 on
         for m, depth in [(3, 4), (2, 6), (2, 15)]:
-            check = is_binary_convex(TreeFunction.constant(TruncatedTree(m, depth), 0.0),
+            tree = TruncatedTree(m, depth)
+            check = is_binary_convex(TreeFunction.from_values(tree, np.zeros(tree.vertex_count)),
                                      mode="subtrees")
             assert (check.ok, check.checked, check.skipped) == (None, 0, skip)
         # m=2 depth 5 is just under the budget and checks every subtree
-        edge = is_binary_convex(TreeFunction.constant(TruncatedTree(2, 5), 0.0), mode="subtrees")
+        edge = is_binary_convex(TreeFunction.from_values(TruncatedTree(2, 5), np.zeros(63)),
+                                mode="subtrees")
         total = sum(2**level * _subtree_count(2, 5 - level) for level in range(5))
         assert (edge.ok, edge.skipped) == (True, None)
         assert edge.checked == total == 459_829
         # the count stops at the budget, so a deep tree is skipped at once
         # (an exact count squares integers of about 3 million bits here)
         start = time.perf_counter()
-        deeper = is_binary_convex(TreeFunction.zeros(TruncatedTree(2, 22)), mode="subtrees")
+        deeper = is_binary_convex(TreeFunction(TruncatedTree(2, 22), np.zeros(2**23 - 1)),
+                                  mode="subtrees")
         assert time.perf_counter() - start < 0.1
         assert deeper.skipped == skip
 
@@ -550,10 +553,11 @@ class TestBinarySubtrees:
         # evaluating per subtree and via the vectorized matrix must agree
         for x in [(), (1,)]:
             subs = oracles.subtrees(2, x, tree.depth - len(x))
-            worst = min(sum(float(w) * u.value_at(Vertex(2, y)) for w, y in zip(weights(x, ends), ends))
+            worst = min(sum(float(w) * u.values[oracles.flat_index(2, y)]
+                            for w, y in zip(weights(x, ends), ends))
                         for ends in subs)
-            violated_here = u.value_at(Vertex(2, x)) > worst + 1e-9
-            assert violated_here == (Vertex(2, x) in check.violations)
+            flat = oracles.flat_index(2, x)
+            assert (u.values[flat] > worst + 1e-9) == (flat in check.violations)
 
 
 def pair_shapes(m, v, rel):
@@ -719,7 +723,7 @@ class TestBruteForceArrays:
         tree = TruncatedTree(m, depth)
         for u in sample_functions(tree, 67):
             check = is_convex_segment(u)
-            assert (check.ok, check.checked, check._flat) == oracles.segment_verdict(
+            assert (check.ok, check.checked, check.violations) == oracles.segment_verdict(
                 u, oracle_segments(tree), 1e-9)
 
     @pytest.mark.parametrize("m,depth", [(2, 6), (3, 4), (5, 3)])
@@ -731,13 +735,13 @@ class TestBruteForceArrays:
         for u in list(sample_functions(tree, 83))[::2]:
             default = is_convex_segment(u)
             want = oracles.segment_verdict(u, oracle_segments(tree), 1e-9)
-            assert (default.ok, default.checked, default._flat) == want and not default.ok
+            assert (default.ok, default.checked, default.violations) == want and not default.ok
             for pairs in (1, 7):
                 monkeypatch.setattr(convexity, "SEGMENT_BLOCK_PAIRS", pairs)
                 check = is_convex_segment(u)
                 blocks = list(_segment_constraints(tree))
                 monkeypatch.undo()
-                assert (check.ok, check.checked, check._flat) == want
+                assert (check.ok, check.checked, check.violations) == want
                 assert len(blocks) == ceil(tree.vertex_count * (tree.vertex_count - 1) / 2 / pairs)
                 assert_bitwise([np.concatenate(a) for a in zip(*blocks)], oracle_segments(tree))
 
@@ -756,7 +760,7 @@ class TestBruteForceArrays:
                 levels = subtree_levels(tree, u.values)
                 blocks = list(_subtree_averages(tree, u.values))
                 monkeypatch.undo()
-                assert (check.ok, check.checked, check._flat) == want
+                assert (check.ok, check.checked, check.violations) == want
                 assert [rows for rows, _ in levels] == [rows for rows, _ in default]
                 assert_bitwise([a for _, a in levels], [a for _, a in default])
                 # a block is at most `size` averages, or one shape at i with
@@ -776,6 +780,6 @@ class TestBruteForceArrays:
             ok, checked, flat = oracles.subtree_verdict(
                 u, oracle_subtrees(tree, from_level), 1e-9)
             # a vertex's verdict depends on its own rows only
-            assert [f for f in check._flat if f >= first] == flat
+            assert [f for f in check.violations if f >= first] == flat
             if rel is None:
                 assert (check.ok, check.checked) == (ok, checked)

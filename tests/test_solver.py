@@ -81,14 +81,12 @@ class TestDirichlet:
         tree = TruncatedTree(2, 2)
         report = solve_dirichlet(tree, [1.0, 3.0, 0.0, 2.0], SolveConfig(variant="binary"))
         u = report.solution
-        assert u.value_at(Vertex(2, (0,))) == 2.0
-        assert u.value_at(Vertex(2, (1,))) == 1.0
-        assert u.value_at(Vertex(2, ())) == 1.5
+        assert u.values.tolist() == [1.5, 2.0, 1.0, 1.0, 3.0, 0.0, 2.0]
 
     def test_convex_solve_recovers_reference(self):
         tree = TruncatedTree(3, 6)
         ref = oracles.reference_convex_indicator(tree, Vertex(3, (1,)))
-        report = solve_dirichlet(tree, ref.leaf_values, SolveConfig(variant="convex"))
+        report = solve_dirichlet(tree, ref.values[tree.leaf_slice], SolveConfig(variant="convex"))
         np.testing.assert_allclose(report.solution.values, ref.values, atol=1e-12)
         assert report.converged
 
@@ -170,7 +168,7 @@ class TestDirichlet:
             # scaled indicator subsolutions built independently of u
             for x0 in [Vertex(3, (0,)), Vertex(3, (2, 1))]:
                 ref = oracles.reference_convex_indicator(tree, x0)
-                scale = float(g[np.nonzero(ref.leaf_values > 0)[0]].min())
+                scale = float(g[np.nonzero(ref.values[tree.leaf_slice] > 0)[0]].min())
                 v = scale * ref.values
                 assert np.all(v <= u + 1e-10), engine
 
@@ -202,7 +200,7 @@ class TestDirichlet:
         # the report names a vertex where the defect peaks, and the last change
         u, x = report.solution, report.worst_vertex
         assert tree.is_interior(x)
-        assert abs(u.value_at(x) - op_convex(u, x)) == report.final_residual
+        assert abs(u.values[tree.flat_index(x)] - op_convex(u, x)) == report.final_residual
         assert report.last_change > 0
 
     def test_input_validation(self):
@@ -593,19 +591,43 @@ class TestConfig:
             with pytest.raises(ValueError, match="tol must be finite and positive"):
                 SolveConfig(tol=tol)
 
+    def test_max_iter_must_be_an_integer(self):
+        # a sweep count never equals 2.5, so that cap stopped nothing
+        for bad, text in [(2.5, "2.5"), (2.0, "2.0"), ("2", "'2'")]:
+            with pytest.raises(ValueError) as exc:
+                SolveConfig(max_iter=bad)
+            assert str(exc.value) == f"max_iter must be an integer, got {text}"
+        tree = TruncatedTree(2, 5)
+        g = np.linspace(0, 1, tree.leaf_count) ** 2
+        for engine in ENGINES:
+            report = solve(engine, tree, SolveConfig(max_iter=np.int64(2)), g)
+            assert report.iterations == 2 and not report.converged, engine
+
+    def test_k_must_be_an_integer(self):
+        for bad in (2.5, 2.0):
+            with pytest.raises(ValueError) as exc:
+                SolveConfig(variant="kconvex", k=bad)
+            assert str(exc.value) == f"k must be an integer, got {bad}"
+        tree = TruncatedTree(3, 3)
+        g = np.linspace(0, 1, tree.leaf_count)
+        for k in (np.int64(2), np.int32(3)):
+            got = solve_dirichlet(tree, g, SolveConfig(variant="kconvex", k=k)).solution.values
+            want = solve_dirichlet(tree, g, SolveConfig(variant="kconvex", k=int(k))).solution.values
+            np.testing.assert_array_equal(got, want)
+
 
 class TestObstacle:
     def test_depth_one_hand_example(self):
         tree = TruncatedTree(2, 1)
         f = TreeFunction.from_values(tree, [5.0, 1.0, 2.0])
         result = solve_obstacle(f, SolveConfig(variant="convex"))
-        assert result.envelope.value_at(Vertex(2, ())) == 1.5
+        assert result.envelope.values[0] == 1.5
         assert list(result.coincidence_mask) == [False, True, True]
         assert result.report.converged
 
     @pytest.mark.parametrize("variant", ["laplacian_full", "laplacian_arborescence"])
     def test_laplacian_variant_refused(self, variant):
-        f = TreeFunction.zeros(TruncatedTree(2, 2))
+        f = TreeFunction.from_values(TruncatedTree(2, 2), np.zeros(7))
         with pytest.raises(ValueError) as exc:
             solve_obstacle(f, SolveConfig(variant=variant))
         assert str(exc.value) == f"variant {variant!r} is not an envelope equation"
@@ -706,7 +728,7 @@ class TestResidual:
             delta = 0.01
             for _ in range(10):
                 flat = int(rng.integers(0, tree.interior_count))
-                bumped = u.copy()
+                bumped = TreeFunction.from_values(tree, u.values)
                 bumped.values[flat] += delta
                 # the operator never reads the vertex itself, so the defect at
                 # the bumped vertex is at least delta * m / (m + 1)
@@ -740,6 +762,6 @@ class TestResidual:
 
     def test_variant_validation(self):
         tree = TruncatedTree(2, 2)
-        u = TreeFunction.zeros(tree)
+        u = TreeFunction.from_values(tree, np.zeros(tree.vertex_count))
         with pytest.raises(ValueError, match="unknown variant"):
             residual(u, "hexagonal")

@@ -167,7 +167,8 @@ class TestIntervals:
             lo, hi = psi(x0), psi(x0) + Fraction(1, m**x0.level)
             for v in oracles.vertices(tree):
                 in_interval = lo <= psi(v) and psi(v) + Fraction(1, m**v.level) <= hi
-                assert inside.value_at(v) == float(v.level >= x0.level and in_interval)
+                want = float(v.level >= x0.level and in_interval)
+                assert inside.values[tree.flat_index(v)] == want
 
     def test_nesting_and_tiling(self):
         # the children's base-m intervals [psi, psi + m^-level] tile the parent's
@@ -213,6 +214,21 @@ class TestTruncatedTree:
             TruncatedTree(1, 3)
         with pytest.raises(ValueError):
             TruncatedTree(2, 0)
+
+    def test_m_must_be_an_integer(self):
+        for bad in (2.0, 2.5, "3"):
+            with pytest.raises(ValueError) as exc:
+                TruncatedTree(bad, 3)
+            assert str(exc.value) == f"m must be an integer, got {bad!r}"
+        assert TruncatedTree(np.int64(3), 2).vertex_count == 13
+
+    def test_depth_must_be_an_integer(self):
+        # a float depth gave a float vertex count, which no solve could use
+        for bad in (3.0, 2.5):
+            with pytest.raises(ValueError) as exc:
+                TruncatedTree(2, bad)
+            assert str(exc.value) == f"depth must be an integer, got {bad}"
+        assert TruncatedTree(2, np.int32(3)).vertex_count == 15
 
     @pytest.mark.parametrize("call,message", [
         (lambda t: t.vertex_at(-1), "flat index -1 out of range"),
