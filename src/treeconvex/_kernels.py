@@ -1,9 +1,8 @@
 """Vectorized per-level evaluation of the mean-value operators.
 
 All operators read only the parent level and the successor level of the
-vertex being updated, never the vertex itself, so a whole level can be
-evaluated in one shot from a frozen value array (Jacobi) or in place in
-leaves-to-root order (Gauss-Seidel).
+vertex being updated, never the vertex itself, so a whole level is
+evaluated in one shot, and a sweep writes it back in place, leaves to root.
 """
 
 from __future__ import annotations

@@ -204,6 +204,9 @@ def convergence_study(
     successive gaps."""
     if not depths:
         raise ValueError("depths must be non-empty")
+    check_integer("m", m)
+    for depth in depths:
+        check_integer("depth", depth)
     if any(d2 <= d1 for d1, d2 in zip(depths, depths[1:])):
         raise ValueError(f"depths must be strictly increasing, got {depths}")
     for depth in depths:

@@ -25,6 +25,7 @@ tests use, live there too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -110,8 +111,8 @@ def _check_input(u: TreeFunction, tol: float) -> None:
     # with a nan value or tol every `u > bound + tol` is False, so every check
     # would pass; a negative tol would flag exact equalities
     u.validate()
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    if not (isinstance(tol, Real) and 0 <= tol < np.inf):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
 
 
 def _operator_check(u: TreeFunction, variant: str, tol: float) -> ConvexityCheck:

@@ -18,15 +18,12 @@ iterate is a supersolution of the next policy's system, so the evaluations
 descend.  The rounding of an evaluation grows with the size of the data;
 when it leaves the defect above tol, Gauss-Seidel sweeps from a float
 supersolution just above the iterate finish the solve.
-
-The sweep loop `_iterate` also runs Jacobi, which reads a frozen copy of the
-previous iterate instead of the current one; the tests use it as the
-reference engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -44,8 +41,8 @@ class SolveConfig:
 
     def __post_init__(self) -> None:
         check_variant(self.variant, self.k)
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if not (isinstance(self.tol, Real) and 0 < self.tol < np.inf):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         check_integer("max_iter", self.max_iter)
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
@@ -107,28 +104,23 @@ def _dirichlet_start(tree: TruncatedTree, leaf_values) -> np.ndarray:
 
 
 def _iterate(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
-             obstacle: np.ndarray | None = None, *, jacobi: bool = False) -> SolveReport:
-    """Monotone fixed-point sweeps on `values` (leaves already clamped), level
-    by level from the leaves to the root, until a sweep changes no value by
+             obstacle: np.ndarray | None = None) -> SolveReport:
+    """Monotone Gauss-Seidel sweeps on `values` (leaves already clamped), in
+    place and level by level from the leaves to the root, so each level sees
+    the level below it already updated, until a sweep changes no value by
     more than tol and the defect is within it, or a change or the defect is
-    not finite.
-
-    Gauss-Seidel (the default) reads `values` in place, so each level sees
-    the level below it already updated; one such pass is exact for the
-    variants that read only the successor level.  Jacobi reads a frozen copy
-    of the previous iterate.  With an obstacle, interior updates are
-    min(obstacle, operator); without one, variants whose float averaging can
-    overshoot by an ulp are clipped against the previous iterate so descent
-    stays exact.
+    not finite.  One pass is exact for the variants that read only the
+    successor level.  With an obstacle, interior updates are min(obstacle,
+    operator); without one, variants whose float averaging can overshoot by
+    an ulp are clipped against the previous iterate so descent stays exact.
     """
     clip = obstacle is None and _VARIANTS[cfg.variant].clipped
     monotone = True
     iterations = 0
 
     while True:
-        source = values.copy() if jacobi else values
         change = 0.0
-        for sl, new_level in operator_levels(tree, source, cfg.variant, cfg.k, obstacle,
+        for sl, new_level in operator_levels(tree, values, cfg.variant, cfg.k, obstacle,
                                              leaves_first=True):
             if clip:
                 np.minimum(new_level, values[sl], out=new_level)

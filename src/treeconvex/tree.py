@@ -30,9 +30,11 @@ class Vertex:
     digits: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        check_integer("m", self.m)
         if self.m < 2:
             raise ValueError(f"branching factor must be >= 2, got {self.m}")
         for d in self.digits:
+            check_integer("digit", d)
             if not 0 <= d < self.m:
                 raise ValueError(f"digit {d} out of range [0, {self.m})")
 

@@ -14,6 +14,11 @@ bound.
 The pointwise operators, second-difference families and Laplacians read one
 vertex's neighbours by digits, for comparison with the library's level
 kernels, and the closed-form reference functions are built here exactly.
+The reference engine is here too: `operator` evaluates every variant level
+by level, taking the smallest successors from a sort and the Laplacian
+weights from `laplacian_weights`, and `jacobi` descends from the sup of the
+leaf data or from the obstacle, each sweep reading the previous one's
+values.  Neither reads the library's kernels or solver.
 `read_function_csv` reads every file one `csv` row at a time.
 """
 
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -201,13 +207,19 @@ def subtree_verdict(u: TreeFunction, arrays, tol: float) -> tuple[bool, int, lis
     return not flat, len(roots), flat
 
 
+def level_start(m: int, level: int) -> int:
+    """The number of vertices above `level`, (m^level - 1)/(m - 1): where the
+    level starts in `digit_tuples` order."""
+    return (m**level - 1) // (m - 1)
+
+
 def flat_index(m: int, digits: tuple) -> int:
-    """The position of a vertex in `digit_tuples` order: the (m^l - 1)/(m - 1)
-    vertices above its level l come first, then those before it in its level."""
+    """The position of a vertex in `digit_tuples` order: the vertices above
+    its level come first, then those before it in its level."""
     index = 0
     for d in digits:
         index = index * m + d
-    return (m ** len(digits) - 1) // (m - 1) + index
+    return level_start(m, len(digits)) + index
 
 
 def digit_value(u: TreeFunction, digits: tuple) -> float:
@@ -255,17 +267,120 @@ def eigenvalues_k(u: TreeFunction, x: Vertex, k: int) -> list[float]:
     return [sum(subset) / k - ux for subset in combinations(s, k)]
 
 
+def laplacian_weights(m: int) -> tuple[float, float]:
+    """The full-tree Laplacian's weights of the predecessor, 2/(m+1)^2, and of
+    the successor average, (m^2+2m-1)/(m+1)^2."""
+    return 2 / (m + 1) ** 2, (m * m + 2 * m - 1) / (m + 1) ** 2
+
+
 def laplacian_residual(u: TreeFunction, x: Vertex) -> float:
     """Defect at a non-root x of the full-tree mean-value identity
-    u(x) = 2/(m+1)^2 * u(parent) + (m^2+2m-1)/(m+1)^2 * successor average."""
-    m, s = u.tree.m, successor_values(u, x)
-    return (2 / (m + 1) ** 2 * digit_value(u, x.parent.digits)
-            + (m * m + 2 * m - 1) / (m + 1) ** 2 * (sum(s) / m) - digit_value(u, x.digits))
+    u(x) = c_pred * u(parent) + c_succ * successor average."""
+    c_pred, c_succ = laplacian_weights(u.tree.m)
+    s = successor_values(u, x)
+    return (c_pred * digit_value(u, x.parent.digits) + c_succ * (sum(s) / len(s))
+            - digit_value(u, x.digits))
 
 
 def arborescence_laplacian(u: TreeFunction, x: Vertex) -> float:
     """Successor average minus the value at x."""
     return sum(successor_values(u, x)) / u.tree.m - digit_value(u, x.digits)
+
+
+# Float rounding of a k-way or weighted average can overshoot the exact
+# convex combination by an ulp: without an obstacle, the reference engine
+# clips these updates against the previous iterate, so descent from the sup
+# stays exact.
+CLIPPED = ("kconvex", "laplacian_full", "laplacian_arborescence")
+
+
+def level_operator(values: np.ndarray, m: int, level: int, variant: str,
+                   k: int | None = None) -> np.ndarray:
+    """The variant's operator at every vertex of interior `level`, in order,
+    from the flat values of the whole tree.  The smallest successors come
+    from a stable sort of each row, and the k smallest are summed from the
+    smallest up, as `op_kconvex` does; at the root the convex minimum has no
+    predecessor branch and the full Laplacian is the successor average."""
+    n, start = m**level, level_start(m, level)
+    succ = values[start + n: start + n + n * m].reshape(n, m)
+    parent = np.repeat(values[start - n // m: start], m) if level else None
+    if variant in ("laplacian_full", "laplacian_arborescence"):
+        mean = succ.mean(axis=1)
+        if variant == "laplacian_arborescence" or parent is None:
+            return mean
+        c_pred, c_succ = laplacian_weights(m)
+        return c_pred * parent + c_succ * mean
+    head = np.sort(succ, axis=1, kind="stable")
+    if variant == "kconvex":
+        total = head[:, 0].copy()
+        for j in range(1, k):
+            total += head[:, j]
+        return total / k
+    op = (head[:, 0] + head[:, 1]) / 2
+    if variant == "convex" and parent is not None:
+        op = np.minimum(op, (parent + m * head[:, 0]) / (m + 1))
+    return op
+
+
+def operator(tree: TruncatedTree, values: np.ndarray, variant: str, k: int | None = None,
+             obstacle: np.ndarray | None = None) -> np.ndarray:
+    """The variant's operator at every interior vertex of `values`, in flat
+    order, each level evaluated by `level_operator`; with an obstacle, the
+    smaller of the operator and the obstacle."""
+    op = np.concatenate([level_operator(values, tree.m, level, variant, k)
+                         for level in range(tree.depth)])
+    return op if obstacle is None else np.minimum(op, obstacle[: len(op)])
+
+
+@dataclass
+class JacobiRun:
+    """What the tests read of a solve, under the names of the library's
+    `SolveReport`, and the coincidence mask of an obstacle problem."""
+
+    solution: TreeFunction
+    iterations: int
+    final_residual: float
+    converged: bool
+    monotone: bool  # no sweep raised a value
+    last_change: float
+    coincidence_mask: np.ndarray | None
+
+
+def jacobi(tree: TruncatedTree, variant: str, k: int | None, tol: float, max_iter: int,
+           leaves=None, obstacle: np.ndarray | None = None) -> JacobiRun:
+    """The monotone Jacobi descent to the largest solution: from the leaf data
+    with the interior at their sup, or from the flat `obstacle` values, every
+    sweep sets each interior value to the operator of the previous sweep's
+    values (below the obstacle, if there is one).  The sweeps stop when one
+    changes no value by more than tol and the defect is within it, when a
+    change or the defect is not finite, or after max_iter sweeps.  Vertices
+    within tol of the obstacle coincide with it."""
+    inner = level_start(tree.m, tree.depth)
+    if obstacle is None:
+        values = np.empty(level_start(tree.m, tree.depth + 1))
+        values[inner:] = leaves
+        values[:inner] = np.max(leaves)
+    else:
+        values = np.array(obstacle, dtype=np.float64)
+    interior = values[:inner]  # a view: writing it updates `values`
+    clip = obstacle is None and variant in CLIPPED
+    monotone, iterations = True, 0
+    while True:
+        new = operator(tree, values, variant, k, obstacle)
+        if clip:
+            np.minimum(new, interior, out=new)
+        change = float(np.max(np.abs(new - interior)))  # NaN if any change is NaN
+        monotone = monotone and bool(np.all(new <= interior))
+        interior[:] = new
+        iterations += 1
+        stop = iterations == max_iter or not math.isfinite(change)
+        if change <= tol or stop:
+            defect = float(np.max(np.abs(interior - operator(tree, values, variant, k, obstacle))))
+            if defect <= tol or stop or not math.isfinite(defect):
+                break
+    mask = None if obstacle is None else np.abs(values - obstacle) <= tol
+    return JacobiRun(TreeFunction(tree, values), iterations, defect, defect <= tol, monotone,
+                     change, mask)
 
 
 def descendants(tree: TruncatedTree, x0: Vertex):

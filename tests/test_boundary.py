@@ -366,6 +366,16 @@ class TestConvergenceStudy:
         assert str(exc.value) == ("depth 1000000 exceeds the study budget "
                                   "(m^depth > 16777216 leaves)")
 
+    def test_sizes_must_be_integers(self):
+        # checked before the budget, which named 1e6 as a depth too large
+        datum, cfg = BoundaryDatum("constant", (0.0,)), SolveConfig(variant="binary")
+        for m, depths, message in [(2, [3, 1e6], "depth must be an integer, got 1000000.0"),
+                                   (2, [3.0, 4], "depth must be an integer, got 3.0"),
+                                   (2.0, [3, 4], "m must be an integer, got 2.0")]:
+            with pytest.raises(ValueError) as exc:
+                convergence_study(datum, m, depths, cfg)
+            assert str(exc.value) == message
+
     def test_depths_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             convergence_study(BoundaryDatum("constant", (0.0,)), 2, [4, 4],

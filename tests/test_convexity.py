@@ -29,7 +29,7 @@ from treeconvex import (
     solve_dirichlet,
 )
 from treeconvex import convexity
-from treeconvex._kernels import level_operator
+from treeconvex._kernels import level_operator, operator_levels
 from treeconvex.convexity import (
     _segment_constraints,
     _subtree_averages,
@@ -89,6 +89,28 @@ class TestOperators:
                 full = arb if x.is_root else ux + oracles.laplacian_residual(u, x)
                 assert abs(row["laplacian_full", None] - full) <= 1e-15, x
                 assert abs(row["laplacian_arborescence", None] - arb) <= 1e-15, x
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_level_kernels_match_oracle_operator(self, m):
+        """The reference engine's sort-based operator equals the kernel
+        table's bit for bit at every interior vertex, with and without an
+        obstacle, on uniform data and on tied integers; kconvex up to m = 7,
+        where NumPy still sums the k smallest in order."""
+        rng = np.random.default_rng([41, m])
+        tree = TruncatedTree(m, 3)
+        runs = [("convex", None), ("binary", None), ("laplacian_full", None),
+                ("laplacian_arborescence", None)]
+        runs += [("kconvex", k) for k in range(2, m + 1) if m <= 7]
+        n = tree.vertex_count
+        for values, obstacle in [(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)),
+                                 (rng.integers(-2, 3, n).astype(float),
+                                  rng.integers(-2, 3, n).astype(float))]:
+            for f in (None, obstacle):
+                for variant, k in runs:
+                    want = np.concatenate([op for _, op in operator_levels(tree, values, variant,
+                                                                           k, f)])
+                    got = oracles.operator(tree, values, variant, k, f)
+                    assert_bitwise([got], [want])
 
     def test_constant_is_fixed(self):
         tree = TruncatedTree(3, 2)
@@ -344,9 +366,11 @@ class TestPredicates:
     def test_tol_must_be_finite_and_non_negative(self):
         u = TreeFunction.from_values(TruncatedTree(2, 2), np.ones(7))
         for predicate in self.PREDICATES:
-            for tol in (np.nan, np.inf, -1.0):
-                with pytest.raises(ValueError, match="finite and non-negative"):
+            # a string failed in np.isfinite with a TypeError that named nothing
+            for tol in (np.nan, np.inf, -1.0, "0.1"):
+                with pytest.raises(ValueError) as exc:
                     predicate(u, tol)
+                assert str(exc.value) == f"tol must be finite and non-negative, got {tol!r}"
             assert predicate(u, 0.0).ok
 
     def test_values_must_be_finite_and_one_per_vertex(self):
@@ -676,7 +700,8 @@ class TestBruteForceArrays:
     arrays bitwise, the averages to within their rounding."""
 
     def test_oracle_imports_only_data_types(self):
-        # the oracle may not call the library it checks: from the package it
+        # the oracle may not call the library it checks, so it imports neither
+        # `treeconvex._kernels` nor `treeconvex.solver`: from the package it
         # takes the tree and function types, and `Vertex` for `Vertex.parse`
         source = ast.parse(Path(oracles.__file__).read_text())
         imported = set()

@@ -192,7 +192,7 @@ class TestDirichlet:
     def test_non_convergence_reported(self):
         tree = TruncatedTree(2, 5)
         g = np.linspace(0, 1, tree.leaf_count)
-        report = solve("jacobi", tree, SolveConfig(variant="convex", max_iter=1), g)
+        report = solve("gs", tree, SolveConfig(variant="convex", max_iter=1), g)
         assert not report.converged
         assert report.iterations == 1
         assert report.final_residual > 1e-12
@@ -398,26 +398,27 @@ class TestDirect:
 
     def test_nan_change_stops_reference_sweeps(self, monkeypatch):
         """A NaN on the first level a sweep updates reaches `last_change`
-        (the builtin max drops it) and stops the sweeps at once."""
+        (the builtin max drops it) and stops the sweeps at once; a NaN
+        anywhere in a Jacobi sweep of the oracle does the same."""
         import treeconvex._kernels as kernels
 
-        real = kernels.level_operator
         tree = TruncatedTree(2, 4)
-        for engine in ("jacobi", "gs"):
-            poisoned = []
+        # the oracle evaluates a sweep's levels from the root down
+        for module, engine, first in [(kernels, "gs", tree.depth - 1), (oracles, "jacobi", 0)]:
+            real, poisoned = module.level_operator, []
 
-            def level_operator(tree, values, level, variant, k=None, codes=None):
-                op = real(tree, values, level, variant, k, codes)
+            def level_operator(*args, real=real, poisoned=poisoned):
+                op = real(*args)
                 if not poisoned:
-                    poisoned.append(level)
+                    poisoned.append(args[2])  # the level, in both signatures
                     op[0] = np.nan
                 return op
 
-            monkeypatch.setattr(kernels, "level_operator", level_operator)
+            monkeypatch.setattr(module, "level_operator", level_operator)
             with np.errstate(invalid="ignore"):
                 report = solve(engine, tree, SolveConfig(max_iter=50),
                                np.linspace(0, 1, tree.leaf_count))
-            assert poisoned == [tree.depth - 1], engine
+            assert poisoned == [first], engine
             assert report.iterations == 1 and not report.converged, engine
             assert np.isnan(report.last_change) and np.isnan(report.final_residual), engine
 
@@ -590,6 +591,10 @@ class TestConfig:
         for tol in (np.inf, np.nan):
             with pytest.raises(ValueError, match="tol must be finite and positive"):
                 SolveConfig(tol=tol)
+        # a string failed the range check with a TypeError that named nothing
+        with pytest.raises(ValueError) as exc:
+            SolveConfig(tol="1e-3")
+        assert str(exc.value) == "tol must be finite and positive, got '1e-3'"
 
     def test_max_iter_must_be_an_integer(self):
         # a sweep count never equals 2.5, so that cap stopped nothing

@@ -35,6 +35,15 @@ class TestVertex:
         with pytest.raises(ValueError):
             Vertex(1, ())
 
+    def test_m_and_digits_must_be_integers(self):
+        # a float m printed as an integer, and a float digit as "0.1.0"
+        for m, digits, message in [(2.5, (0, 2), "m must be an integer, got 2.5"),
+                                   (2, (0, 1.0), "digit must be an integer, got 1.0")]:
+            with pytest.raises(ValueError) as exc:
+                Vertex(m, digits)
+            assert str(exc.value) == message
+        assert str(Vertex(np.int64(3), (np.int32(2), 0))) == "2.0"
+
     def test_parent_drops_last_digit(self):
         v = Vertex(3, (1, 0, 2))
         assert v.parent == Vertex(3, (1, 0))
