@@ -46,7 +46,10 @@ def check_variant(variant: str, k: int | None, m: int | None = None,
 # parent (broadcast, not repeated), or None at the root and for the variants
 # that read only the successor level.  `_min_kernel` is the one code of the
 # convex and binary minimum: it serves the sweeps, the defect, the lift and
-# `check`, and with its choice codes the Howard policy step.
+# `check`, and with its choice codes the Howard policy step.  `_mean_kernel`
+# is the one successor mean, of the Laplacians, their elimination and
+# kconvex's k smallest.  Both pass over the columns left to right; the mean
+# sums them from 0.0, as NumPy sums fewer than 8 terms (8 or more pairwise).
 
 # Choice codes of the convex minimum: `first` holds the column of the
 # smallest successor, `second` the column of its pair partner or PRED; both
@@ -97,13 +100,16 @@ def _min_kernel(succ: np.ndarray, par: np.ndarray | None, m: int, k: int | None,
 
 
 def _k_smallest_mean(succ: np.ndarray, par: np.ndarray | None, m: int, k: int | None) -> np.ndarray:
-    """Smallest average over k-element successor subsets."""
-    return np.partition(succ, k - 1, axis=1)[:, :k].sum(axis=1) / k
+    """Smallest average over k-element subsets: the k smallest, smallest first."""
+    return _mean_kernel(np.sort(np.partition(succ, k - 1, axis=1)[:, :k], axis=1), None, k, None)
 
 
 def _mean_kernel(succ: np.ndarray, par: np.ndarray | None, m: int, k: int | None) -> np.ndarray:
     """Successor average, and with a parent the full-tree weighted mean."""
-    mean = succ.mean(axis=1)
+    mean = np.zeros(len(succ))
+    for col in succ.T:
+        mean += col
+    mean /= succ.shape[1]
     if par is None:
         return mean
     c_pred, c_succ = full_laplacian_weights(m)
@@ -148,14 +154,13 @@ def level_operator(tree: TruncatedTree, values: np.ndarray, level: int, variant:
 
 
 def operator_levels(tree: TruncatedTree, values: np.ndarray, variant: str, k: int | None,
-                    obstacle: np.ndarray | None = None, codes=None, leaves_first: bool = False):
-    """(slice, operator values) of each interior level, root to leaves or
-    leaves to root, clipped by the obstacle if there is one.  Each level is
-    read when the caller asks for it, so a caller that writes a level back
+                    obstacle: np.ndarray | None = None, codes=None):
+    """(slice, operator values) of each interior level, leaves to root, as
+    the elimination runs, clipped by the obstacle if there is one.  Each level
+    is read when the caller asks for it, so a caller that writes a level back
     before the next sweeps Gauss-Seidel.  With `codes`, (slice, values,
     first, second): the choice codes, TOUCH in both where the obstacle clips."""
-    levels = range(tree.depth)
-    for level in reversed(levels) if leaves_first else levels:
+    for level in reversed(range(tree.depth)):
         sl = tree.level_slice(level)
         out = level_operator(tree, values, level, variant, k, codes)
         op, *choice = (out,) if codes is None else out

@@ -69,6 +69,11 @@ def _write_lines(fh, lines: Iterable[str]) -> None:
         fh.write("\n".join(chunk) + "\n")
 
 
+def _check_length(tree: TruncatedTree, name: str, column) -> None:
+    if np.shape(column) != (tree.vertex_count,):
+        raise ValueError(f"expected {tree.vertex_count} {name}, got shape {np.shape(column)}")
+
+
 def write_solution_csv(path: str, tree: TruncatedTree, values: np.ndarray,
                        coincidence: np.ndarray | None = None) -> None:
     """One row per vertex in flat order.  The psi column is the correctly
@@ -76,8 +81,10 @@ def write_solution_csv(path: str, tree: TruncatedTree, values: np.ndarray,
     That is the same rational as (index * m^(depth - level)) / m^depth, so
     each level's psi texts are the leaf level's at stride m^(depth - level),
     and only the leaf level is formatted."""
+    _check_length(tree, "values", values)
     header = "vertex,level,index,psi,value"
     if coincidence is not None:
+        _check_length(tree, "coincidence flags", coincidence)
         header += ",coincidence"
     labels, texts = _labels(tree), _value_texts(values)
     leaves = tree.leaf_count
@@ -95,6 +102,7 @@ def write_solution_csv(path: str, tree: TruncatedTree, values: np.ndarray,
 
 
 def write_dot(path: str, tree: TruncatedTree, values: np.ndarray) -> None:
+    _check_length(tree, "values", values)
     labels, texts = _labels(tree), _value_texts(values)
     m = tree.m
     with open(path, "w", newline="\n") as fh:

@@ -118,8 +118,8 @@ def _check_input(u: TreeFunction, tol: float) -> None:
 def _operator_check(u: TreeFunction, variant: str, tol: float) -> ConvexityCheck:
     tree = u.tree
     flat = []
-    for sl, op in operator_levels(tree, u.values, variant, None):
-        flat += (sl.start + np.flatnonzero(u.values[sl] > op + tol)).tolist()
+    for sl, op in operator_levels(tree, u.values, variant, None):  # leaves to root
+        flat[:0] = (sl.start + np.flatnonzero(u.values[sl] > op + tol)).tolist()
     return ConvexityCheck(ok=not flat, checked=tree.interior_count, violations=flat)
 
 

@@ -27,7 +27,8 @@ from numbers import Real
 
 import numpy as np
 
-from ._kernels import PRED, TOUCH, _VARIANTS, check_variant, full_laplacian_weights, operator_levels
+from ._kernels import (PRED, TOUCH, _VARIANTS, _mean_kernel, check_variant, full_laplacian_weights,
+                       operator_levels)
 from .functions import TreeFunction
 from .tree import TruncatedTree, Vertex, check_integer
 
@@ -68,12 +69,12 @@ class ObstacleResult:
 
 def _peak(level_values: np.ndarray, op: np.ndarray, start: int, worst: float,
           at: int) -> tuple[float, int]:
-    """Fold one level's |u - operator(u)| (written into `op`; flat indices
-    from `start`) into the running sup `worst` attained at `at`; NaN counts
-    as the largest."""
+    """Fold |u - operator(u)| of one level (written into `op`; flat indices
+    from `start`) into the sup `worst` at `at`, levels leaves to root: NaN is
+    the largest, and a tie goes to the shallower level, the first in flat order."""
     gap = np.abs(np.subtract(level_values, op, out=op), out=op)
     i = int(np.argmax(gap))  # the first NaN, if there is one
-    if gap[i] > worst or (np.isnan(gap[i]) and not np.isnan(worst)):
+    if np.isnan(gap[i]) or gap[i] >= worst:
         return float(gap[i]), start + i
     return worst, at
 
@@ -120,8 +121,7 @@ def _iterate(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
 
     while True:
         change = 0.0
-        for sl, new_level in operator_levels(tree, values, cfg.variant, cfg.k, obstacle,
-                                             leaves_first=True):
+        for sl, new_level in operator_levels(tree, values, cfg.variant, cfg.k, obstacle):
             if clip:
                 np.minimum(new_level, values[sl], out=new_level)
             # np.maximum keeps a NaN change, which the builtin max drops
@@ -202,8 +202,8 @@ def _laplacian_system(tree: TruncatedTree):
     def system(level, alpha_succ, beta_succ, alpha_row, beta_row):
         a, w = (c_pred, c_succ) if level > 0 else (0.0, 1.0)
         if alpha_succ is not None:
-            np.multiply(w, alpha_succ.mean(axis=1), out=alpha_row)
-        np.multiply(w, beta_succ.mean(axis=1), out=beta_row)
+            np.multiply(w, _mean_kernel(alpha_succ, None, tree.m, None), out=alpha_row)
+        np.multiply(w, _mean_kernel(beta_succ, None, tree.m, None), out=beta_row)
         return a
 
     return system
@@ -228,11 +228,11 @@ class _ConvexPolicy:
         `_defect` does, and the deepest level whose stored choices changed
         (-1 if none did)."""
         worst, at, deepest = -1.0, 0, -1
-        for level, (sl, op, first, second) in enumerate(operator_levels(
+        for level, (sl, op, first, second) in zip(reversed(range(self.tree.depth)), operator_levels(
                 self.tree, values, "convex", None, self.obstacle, self.first.dtype)):
             if not (np.array_equal(first, self.first[sl])
                     and np.array_equal(second, self.second[sl])):
-                deepest = level
+                deepest = max(deepest, level)
                 self.first[sl], self.second[sl] = first, second
             worst, at = _peak(values[sl], op, sl.start, worst, at)
         return worst, at, deepest

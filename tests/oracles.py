@@ -238,8 +238,7 @@ def check_k(k: int, m: int) -> None:
 
 def op_kconvex(u: TreeFunction, x: Vertex, k: int) -> float:
     """The least average of k successor values: the k smallest, summed from
-    the smallest up.  In that order the sum is bitwise the level kernel's up
-    to m = 7; NumPy sums 8 or more terms pairwise."""
+    the smallest up."""
     s = successor_values(u, x)
     check_k(k, len(s))
     return sum(sorted(s)[:k]) / k
@@ -298,24 +297,22 @@ def level_operator(values: np.ndarray, m: int, level: int, variant: str,
                    k: int | None = None) -> np.ndarray:
     """The variant's operator at every vertex of interior `level`, in order,
     from the flat values of the whole tree.  The smallest successors come
-    from a stable sort of each row, and the k smallest are summed from the
-    smallest up, as `op_kconvex` does; at the root the convex minimum has no
+    from a stable sort of each row; the successors of a Laplacian and the k
+    smallest (from the smallest up) are summed left to right with `sum`, as
+    the pointwise operators do.  At the root the convex minimum has no
     predecessor branch and the full Laplacian is the successor average."""
     n, start = m**level, level_start(m, level)
     succ = values[start + n: start + n + n * m].reshape(n, m)
     parent = np.repeat(values[start - n // m: start], m) if level else None
     if variant in ("laplacian_full", "laplacian_arborescence"):
-        mean = succ.mean(axis=1)
+        mean = sum(succ.T) / m
         if variant == "laplacian_arborescence" or parent is None:
             return mean
         c_pred, c_succ = laplacian_weights(m)
         return c_pred * parent + c_succ * mean
     head = np.sort(succ, axis=1, kind="stable")
     if variant == "kconvex":
-        total = head[:, 0].copy()
-        for j in range(1, k):
-            total += head[:, j]
-        return total / k
+        return sum(head.T[:k]) / k
     op = (head[:, 0] + head[:, 1]) / 2
     if variant == "convex" and parent is not None:
         op = np.minimum(op, (parent + m * head[:, 0]) / (m + 1))

@@ -696,6 +696,21 @@ class TestArtifactBytes:
         write_solution_csv(str(path), tree, values)
         assert read_function_csv(str(path), tree).values.tobytes() == values.tobytes()
 
+    def test_writers_refuse_wrong_lengths(self, tmp_path):
+        """A value or coincidence array that is not one entry per vertex is
+        refused, naming the count, before the file is created."""
+        tree = TruncatedTree(2, 3)
+        n = tree.vertex_count
+        path, dot = tmp_path / "u.csv", tmp_path / "t.dot"
+        for size in (5, 40):
+            with pytest.raises(ValueError, match=f"^expected {n} values, got shape \\({size},\\)$"):
+                write_solution_csv(str(path), tree, np.zeros(size))
+            with pytest.raises(ValueError, match=f"^expected {n} values, got shape \\({size},\\)$"):
+                write_dot(str(dot), tree, np.zeros(size))
+        with pytest.raises(ValueError, match=f"^expected {n} coincidence flags, got shape \\(3,\\)$"):
+            write_solution_csv(str(path), tree, np.zeros(n), np.zeros(3, dtype=bool))
+        assert not path.exists() and not dot.exists()
+
     def test_non_canonical_labels(self, tmp_path):
         # `Vertex.parse` reads "00" as 0 and "1.02" as 1.2 at m=3, so these
         # rows name the vertices "0", "1" and "1.2"

@@ -747,6 +747,25 @@ class TestResidual:
             values[flat] = np.nan
             assert np.isnan(_defect(tree, values, "convex", None)[0]), flat
 
+    def test_fold_ties_take_the_first_flat_index(self):
+        """Across levels the defect's vertex is the first in flat order, for a
+        tie of the largest gaps and for NaNs alike, from `_defect` and from
+        the policy step; the operator checks list violations in flat order."""
+        tree = TruncatedTree(2, 3)  # flat 1 and 2 on level 1, 3-6 on level 2
+        tied = np.zeros(tree.vertex_count)
+        tied[[1, 5]] = 1.0  # gap 1 at both, every other gap at most 0.5
+        nans = np.zeros(tree.vertex_count)
+        nans[[6, 9]] = np.nan  # NaN gaps at 2 and 6 (through 6) and 4 (leaf 9)
+        for values, want, flat in [(tied, 1.0, 1), (nans, np.nan, 2)]:
+            for variant in ("convex", "binary"):
+                worst, at = _defect(tree, values, variant, None)
+                assert np.array_equal(worst, want, equal_nan=True) and at == flat, variant
+            worst, at, _ = _ConvexPolicy(tree, None).improve(values)
+            assert np.array_equal(worst, want, equal_nan=True) and at == flat
+        u = TreeFunction.from_values(tree, tied)
+        assert is_convex_operator(u).violations == [1, 5]
+        assert is_binary_convex(u).violations == [1, 5]
+
     def test_function_validated(self):
         """A directly built function with a value too many or too few, or a
         value that is not finite, is refused with `validate`'s message, by
