@@ -46,10 +46,11 @@ def check_variant(variant: str, k: int | None, m: int | None = None,
 # parent (broadcast, not repeated), or None at the root and for the variants
 # that read only the successor level.  `_min_kernel` is the one code of the
 # convex and binary minimum: it serves the sweeps, the defect, the lift and
-# `check`, and with its choice codes the Howard policy step.  `_mean_kernel`
-# is the one successor mean, of the Laplacians, their elimination and
-# kconvex's k smallest.  Both pass over the columns left to right; the mean
-# sums them from 0.0, as NumPy sums fewer than 8 terms (8 or more pairwise).
+# `check`, and with its choice codes the Howard policy step, with no sort.
+# `_mean_kernel` is the one successor mean, of the Laplacians, their
+# elimination and kconvex's k smallest (each row sorted once).  Both pass
+# over the columns left to right; the mean sums them from 0.0, as NumPy sums
+# fewer than 8 terms (8 or more pairwise).
 
 # Choice codes of the convex minimum: `first` holds the column of the
 # smallest successor, `second` the column of its pair partner or PRED; both
@@ -100,8 +101,8 @@ def _min_kernel(succ: np.ndarray, par: np.ndarray | None, m: int, k: int | None,
 
 
 def _k_smallest_mean(succ: np.ndarray, par: np.ndarray | None, m: int, k: int | None) -> np.ndarray:
-    """Smallest average over k-element subsets: the k smallest, smallest first."""
-    return _mean_kernel(np.sort(np.partition(succ, k - 1, axis=1)[:, :k], axis=1), None, k, None)
+    """Smallest average over k-element subsets: the first k of each sorted row."""
+    return _mean_kernel(np.sort(succ, axis=1)[:, :k], None, k, None)
 
 
 def _mean_kernel(succ: np.ndarray, par: np.ndarray | None, m: int, k: int | None) -> np.ndarray:

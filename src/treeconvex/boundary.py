@@ -204,9 +204,7 @@ def convergence_study(
     successive gaps."""
     if not depths:
         raise ValueError("depths must be non-empty")
-    check_integer("m", m)
-    for depth in depths:
-        check_integer("depth", depth)
+    m, depths = check_integer("m", m), [check_integer("depth", d) for d in depths]
     if any(d2 <= d1 for d1, d2 in zip(depths, depths[1:])):
         raise ValueError(f"depths must be strictly increasing, got {depths}")
     for depth in depths:

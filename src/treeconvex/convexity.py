@@ -111,7 +111,7 @@ def _check_input(u: TreeFunction, tol: float) -> None:
     # with a nan value or tol every `u > bound + tol` is False, so every check
     # would pass; a negative tol would flag exact equalities
     u.validate()
-    if not (isinstance(tol, Real) and 0 <= tol < np.inf):
+    if isinstance(tol, bool) or not (isinstance(tol, Real) and 0 <= tol < np.inf):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
 
 
@@ -160,9 +160,7 @@ def _segment_constraints(tree: TruncatedTree):
         lw = np.zeros_like(a)
         for lv in range(1, depth + 1):
             lw += (la >= lv) & (ia // pw[np.maximum(la - lv, 0)] == ib // pw[np.maximum(lb - lv, 0)])
-        inner = la + lb - 2 * lw - 1  # path vertices strictly between x and y
-        keep = inner > 0
-        a, b, la, lb, ia, ib, lw, inner = (v[keep] for v in (a, b, la, lb, ia, ib, lw, inner))
+        inner = la + lb - 2 * lw - 1  # path vertices strictly between x and y: 0 for an edge
         pair = np.repeat(np.arange(a.size), inner)
         t = np.arange(pair.size) - np.repeat(np.cumsum(inner) - inner, inner) + 1
         la, lb, ia, ib, lw = la[pair], lb[pair], ia[pair], ib[pair], lw[pair]

@@ -42,7 +42,7 @@ class SolveConfig:
 
     def __post_init__(self) -> None:
         check_variant(self.variant, self.k)
-        if not (isinstance(self.tol, Real) and 0 < self.tol < np.inf):
+        if isinstance(self.tol, bool) or not (isinstance(self.tol, Real) and 0 < self.tol < np.inf):
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         check_integer("max_iter", self.max_iter)
         if self.max_iter < 1:

@@ -30,13 +30,14 @@ class Vertex:
     digits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        check_integer("m", self.m)
+        object.__setattr__(self, "m", check_integer("m", self.m))
         if self.m < 2:
             raise ValueError(f"branching factor must be >= 2, got {self.m}")
         for d in self.digits:
             check_integer("digit", d)
             if not 0 <= d < self.m:
                 raise ValueError(f"digit {d} out of range [0, {self.m})")
+        object.__setattr__(self, "digits", tuple(map(int, self.digits)))
 
     @classmethod
     def from_level_index(cls, m: int, level: int, index: int) -> Vertex:
@@ -87,11 +88,14 @@ class Vertex:
         return ".".join(str(d) for d in self.digits)
 
 
-def check_integer(name: str, value) -> None:
-    """Refuse a size or cap that is not a Python or NumPy integer: a float
-    such as 2.0 passes the range checks but breaks the counts built from it."""
-    if not isinstance(value, (int, np.integer)):
+def check_integer(name: str, value) -> int:
+    """A size or cap as a Python int, so that arithmetic on it cannot wrap as
+    a NumPy integer's does.  Refuse a value that is not a Python or NumPy
+    integer: a float such as 2.0 passes the range checks but breaks the counts
+    built from it, and a bool is a flag, not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def psi(v: Vertex) -> Fraction:
@@ -119,8 +123,8 @@ class TruncatedTree:
     depth: int
 
     def __post_init__(self) -> None:
-        check_integer("m", self.m)
-        check_integer("depth", self.depth)
+        object.__setattr__(self, "m", check_integer("m", self.m))
+        object.__setattr__(self, "depth", check_integer("depth", self.depth))
         if self.m < 2:
             raise ValueError(f"branching factor must be >= 2, got {self.m}")
         if self.depth < 1:

@@ -556,9 +556,10 @@ class TestPolicyStep:
 
     def test_no_partition(self, monkeypatch):
         """Convex and binary solves, Dirichlet and obstacle, and both operator
-        checks run the column pass, never a partition; kconvex still does."""
+        checks run the column pass, never a partition; kconvex sorts each row
+        once, and partitions neither."""
         def refuse(*args, **kwargs):
-            raise AssertionError("the convex and binary minimum must not partition")
+            raise AssertionError("no kernel may partition")
 
         monkeypatch.setattr(np, "partition", refuse)
         monkeypatch.setattr(np, "argpartition", refuse)
@@ -572,8 +573,8 @@ class TestPolicyStep:
                 report = solve_dirichlet(tree, g, cfg)
                 assert report.converged and check(report.solution).ok, variant
                 assert solve_obstacle(f, cfg).report.converged, variant
-            with pytest.raises(AssertionError, match="must not partition"):
-                solve_dirichlet(tree, g, SolveConfig(variant="kconvex", k=2))
+            cfg = SolveConfig(variant="kconvex", k=2)
+            assert solve_dirichlet(tree, g, cfg).converged and solve_obstacle(f, cfg).report.converged
 
 
 class TestConfig:

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeconvex import TreeFunction, TruncatedTree, Vertex, psi
+from treeconvex import (SolveConfig, TreeFunction, TruncatedTree, Vertex, convergence_study,
+                        is_convex_operator, parse_datum, psi)
 from treeconvex import tree as tree_module
 
 import oracles
@@ -42,7 +43,8 @@ class TestVertex:
             with pytest.raises(ValueError) as exc:
                 Vertex(m, digits)
             assert str(exc.value) == message
-        assert str(Vertex(np.int64(3), (np.int32(2), 0))) == "2.0"
+        v = Vertex(np.int64(3), (np.int32(2), 0))
+        assert str(v) == "2.0" and [type(x) for x in (v.m, *v.digits)] == [int] * 3
 
     def test_parent_drops_last_digit(self):
         v = Vertex(3, (1, 0, 2))
@@ -229,7 +231,8 @@ class TestTruncatedTree:
             with pytest.raises(ValueError) as exc:
                 TruncatedTree(bad, 3)
             assert str(exc.value) == f"m must be an integer, got {bad!r}"
-        assert TruncatedTree(np.int64(3), 2).vertex_count == 13
+        tree = TruncatedTree(np.int64(3), 2)
+        assert tree.vertex_count == 13 and type(tree.m) is int
 
     def test_depth_must_be_an_integer(self):
         # a float depth gave a float vertex count, which no solve could use
@@ -237,7 +240,26 @@ class TestTruncatedTree:
             with pytest.raises(ValueError) as exc:
                 TruncatedTree(2, bad)
             assert str(exc.value) == f"depth must be an integer, got {bad}"
-        assert TruncatedTree(2, np.int32(3)).vertex_count == 15
+        tree = TruncatedTree(2, np.int32(3))
+        assert tree.vertex_count == 15 and type(tree.depth) is int
+
+    @pytest.mark.parametrize("call,message", [
+        # NumPy sizes wrapped: vertex_count -1 and leaf_count 0, under the budget
+        (lambda: TruncatedTree(np.int64(2**40), 2), "over the budget of 268435456"),
+        (lambda: TruncatedTree(np.int64(2**21), np.int64(3)), "over the budget of 268435456"),
+        # and a study failed inside NumPy with "negative dimensions"
+        (lambda: convergence_study(parse_datum("power:2"), np.int64(2**40), [2], SolveConfig()),
+         "depth 2 exceeds the study budget"),
+        # a bool passed as an integer: the vertex printed as "True.False"
+        (lambda: Vertex(2, (True, False)), "digit must be an integer, got True"),
+        (lambda: TruncatedTree(2, True), "depth must be an integer, got True"),
+        (lambda: SolveConfig(tol=True), "tol must be finite and positive, got True"),
+        (lambda: is_convex_operator(TreeFunction.from_values(TruncatedTree(2, 2), np.zeros(7)),
+                                    tol=False), "tol must be finite and non-negative, got False"),
+    ])
+    def test_wrapping_sizes_and_bools_are_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     @pytest.mark.parametrize("call,message", [
         (lambda t: t.vertex_at(-1), "flat index -1 out of range"),
