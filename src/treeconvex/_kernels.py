@@ -118,18 +118,15 @@ def _mean_kernel(succ: np.ndarray, par: np.ndarray | None, m: int, k: int | None
 
 
 # Every per-variant fact, one row per variant.  `reads_parent`: else one
-# leaves-to-root pass solves it.  `clipped`: float rounding of a k-way or
-# weighted average may overshoot the exact convex combination by an ulp, so
-# sweeps clip these updates against the previous iterate and descent from the
-# sup stays exact.  `envelope`: a minimum over choices, else a Laplacian (one
-# linear system).  `cli`: the `--variant` spelling.
-_Variant = namedtuple("_Variant", "kernel reads_parent clipped takes_k envelope cli")
+# leaves-to-root pass solves it.  `envelope`: a minimum over choices, else a
+# Laplacian (one linear system).  `cli`: the `--variant` spelling.
+_Variant = namedtuple("_Variant", "kernel reads_parent takes_k envelope cli")
 _VARIANTS = {
-    "convex": _Variant(_min_kernel, True, False, False, True, "convex"),
-    "binary": _Variant(_min_kernel, False, False, False, True, "binary"),
-    "kconvex": _Variant(_k_smallest_mean, False, True, True, True, "kconvex"),
-    "laplacian_full": _Variant(_mean_kernel, True, True, False, False, "laplacian-full"),
-    "laplacian_arborescence": _Variant(_mean_kernel, False, True, False, False, "laplacian-arb"),
+    "convex": _Variant(_min_kernel, True, False, True, "convex"),
+    "binary": _Variant(_min_kernel, False, False, True, "binary"),
+    "kconvex": _Variant(_k_smallest_mean, False, True, True, "kconvex"),
+    "laplacian_full": _Variant(_mean_kernel, True, False, False, "laplacian-full"),
+    "laplacian_arborescence": _Variant(_mean_kernel, False, False, False, "laplacian-arb"),
 }
 ENVELOPE_VARIANTS = tuple(v for v, row in _VARIANTS.items() if row.envelope)
 LAPLACIAN_VARIANTS = tuple(v for v, row in _VARIANTS.items() if not row.envelope)
@@ -157,7 +154,7 @@ def level_operator(tree: TruncatedTree, values: np.ndarray, level: int, variant:
 def operator_levels(tree: TruncatedTree, values: np.ndarray, variant: str, k: int | None,
                     obstacle: np.ndarray | None = None, codes=None):
     """(slice, operator values) of each interior level, leaves to root, as
-    the elimination runs, clipped by the obstacle if there is one.  Each level
+    the elimination runs, capped by the obstacle if there is one.  Each level
     is read when the caller asks for it, so a caller that writes a level back
     before the next sweeps Gauss-Seidel.  With `codes`, (slice, values,
     first, second): the choice codes, TOUCH in both where the obstacle clips."""

@@ -55,7 +55,7 @@ class SolveReport:
     iterations: int  # sweeps, or policy evaluations plus finishing sweeps
     final_residual: float
     converged: bool
-    monotone: bool  # no sweep raised the iterate, and no evaluation beyond tol + rounding
+    monotone: bool  # no evaluation rose beyond tol + rounding (sweeps never rise)
     worst_vertex: Vertex  # an interior vertex where the final defect peaks
     last_change: float  # sup-norm change made by the last sweep or evaluation
 
@@ -106,28 +106,21 @@ def _dirichlet_start(tree: TruncatedTree, leaf_values) -> np.ndarray:
 
 def _iterate(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
              obstacle: np.ndarray | None = None) -> SolveReport:
-    """Monotone Gauss-Seidel sweeps on `values` (leaves already clamped), in
-    place and level by level from the leaves to the root, so each level sees
-    the level below it already updated, until a sweep changes no value by
-    more than tol and the defect is within it, or a change or the defect is
-    not finite.  One pass is exact for the variants that read only the
-    successor level.  With an obstacle, interior updates are min(obstacle,
-    operator); without one, variants whose float averaging can overshoot by
-    an ulp are clipped against the previous iterate so descent stays exact.
-    """
-    clip = obstacle is None and _VARIANTS[cfg.variant].clipped
-    monotone = True
+    """Gauss-Seidel sweeps on `values` (leaves already clamped, interior a
+    float supersolution), in place and level by level from the leaves to the
+    root, so each level sees the level below it already updated, until a
+    sweep changes no value by more than tol and the defect is within it, or a
+    change or the defect is not finite.  One pass is exact for the variants
+    that read only the successor level.  As in `_back_substitute`, every
+    vertex keeps the smaller of min(obstacle, operator) and its previous
+    value: no sweep rises, though float averaging can overshoot by an ulp."""
     iterations = 0
-
     while True:
         change = 0.0
         for sl, new_level in operator_levels(tree, values, cfg.variant, cfg.k, obstacle):
-            if clip:
-                np.minimum(new_level, values[sl], out=new_level)
+            np.minimum(new_level, values[sl], out=new_level)
             # np.maximum keeps a NaN change, which the builtin max drops
-            change = float(np.maximum(change, np.max(np.abs(new_level - values[sl]))))
-            if monotone and not np.all(new_level <= values[sl]):
-                monotone = False
+            change = float(np.maximum(change, np.max(values[sl] - new_level)))
             values[sl] = new_level
         iterations += 1
         stop = iterations == cfg.max_iter or not np.isfinite(change)
@@ -136,7 +129,7 @@ def _iterate(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
             if defect <= cfg.tol or stop or not np.isfinite(defect):
                 break
     return SolveReport(TreeFunction(tree, values), iterations, defect, defect <= cfg.tol,
-                       monotone, tree.vertex_at(worst), change)
+                       True, tree.vertex_at(worst), change)
 
 
 def _eliminate(tree: TruncatedTree, values: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
@@ -338,8 +331,7 @@ def _howard(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
         # lift is not an evaluation and does not count against `monotone`.
         _lift(tree, values, cfg, obstacle, defect, alpha)
         rest = _iterate(tree, values, replace(cfg, max_iter=cfg.max_iter - iterations), obstacle)
-        return replace(rest, iterations=iterations + rest.iterations,
-                       monotone=monotone and rest.monotone)
+        return replace(rest, iterations=iterations + rest.iterations, monotone=monotone)
     return SolveReport(TreeFunction(tree, values), iterations, defect, defect <= cfg.tol,
                        monotone, tree.vertex_at(worst), change)
 

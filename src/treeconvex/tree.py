@@ -42,6 +42,8 @@ class Vertex:
     @classmethod
     def from_level_index(cls, m: int, level: int, index: int) -> Vertex:
         """Inverse of the (level, index) dense encoding."""
+        m, level = check_integer("m", m), check_integer("level", level)
+        index = check_integer("index", index)
         if level < 0 or not 0 <= index < m**level:
             raise ValueError(f"index {index} out of range for level {level}")
         digits = [0] * level
@@ -152,12 +154,14 @@ class TruncatedTree:
         return self.vertex_count - self.leaf_count
 
     def level_size(self, level: int) -> int:
+        level = check_integer("level", level)
         if not 0 <= level <= self.depth:
             raise ValueError(f"level {level} outside [0, {self.depth}]")
         return self.m**level
 
     def level_offset(self, level: int) -> int:
         """Flat offset of the first level-`level` vertex."""
+        level = check_integer("level", level)
         if not 0 <= level <= self.depth + 1:
             raise ValueError(f"level {level} outside [0, {self.depth + 1}]")
         return (self.m**level - 1) // (self.m - 1)
@@ -189,6 +193,7 @@ class TruncatedTree:
         return self.level_offset(v.level) + v.index
 
     def vertex_at(self, flat: int) -> Vertex:
+        flat = check_integer("flat index", flat)
         if not 0 <= flat < self.vertex_count:
             raise ValueError(f"flat index {flat} out of range")
         level = 0

@@ -18,7 +18,8 @@ The reference engine is here too: `operator` evaluates every variant level
 by level, taking the smallest successors from a sort and the Laplacian
 weights from `laplacian_weights`, and `jacobi` descends from the sup of the
 leaf data or from the obstacle, each sweep reading the previous one's
-values.  Neither reads the library's kernels or solver.
+values.  Neither reads the library's kernels or solver.  `exact_one_pass`
+solves the successor-only variants in `Fraction`, one pass from the leaves.
 `read_function_csv` reads every file one `csv` row at a time.
 """
 
@@ -378,6 +379,28 @@ def jacobi(tree: TruncatedTree, variant: str, k: int | None, tol: float, max_ite
     mask = None if obstacle is None else np.abs(values - obstacle) <= tol
     return JacobiRun(TreeFunction(tree, values), iterations, defect, defect <= tol, monotone,
                      change, mask)
+
+
+def exact_one_pass(m: int, depth: int, variant: str, k: int | None = None, leaves=None,
+                   obstacle=None) -> list[Fraction]:
+    """The largest solution of a variant that reads only the successors
+    (binary, kconvex, laplacian_arborescence) in exact arithmetic, in flat
+    order: the leaves are the data (or the obstacle's leaves), and from the
+    leaves to the root each interior value is the mean of its `take`
+    smallest successors (2, k or m of them), below the obstacle if there is
+    one.  Float data are converted exactly, so the result shares no rounding
+    with a float solve."""
+    take = {"binary": 2, "kconvex": k, "laplacian_arborescence": m}[variant]
+    bound = None if obstacle is None else [Fraction(x) for x in obstacle]
+    inner = level_start(m, depth)
+    values = [None] * inner + [Fraction(x) for x in (leaves if bound is None else bound[inner:])]
+    for level in reversed(range(depth)):
+        start, n = level_start(m, level), m**level
+        for i in range(n):
+            succ = values[start + n + i * m: start + n + (i + 1) * m]
+            op = sum(sorted(succ)[:take]) / take
+            values[start + i] = op if bound is None else min(op, bound[start + i])
+    return values
 
 
 def descendants(tree: TruncatedTree, x0: Vertex):

@@ -242,7 +242,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("variant,k,line", [
         ("convex", [], "residual nan at vertex root, last change nan"),
-        ("binary", [], "residual nan at vertex root, last change inf"),
+        ("binary", [], "residual inf at vertex root, last change 0.0"),
         ("kconvex", ["--k", "2"], "residual inf at vertex root, last change 0.0"),
         ("laplacian-full", [], "residual inf at vertex root, last change 0.0"),
         ("laplacian-arb", [], "residual inf at vertex root, last change 0.0"),
@@ -419,17 +419,16 @@ class TestInputErrors:
 
 # Every row of the variant table, written out, so that a row that drifts fails.
 VARIANT_ROWS = {
-    "convex": dict(kernel=_kernels._min_kernel, reads_parent=True, clipped=False,
-                   takes_k=False, envelope=True, cli="convex"),
-    "binary": dict(kernel=_kernels._min_kernel, reads_parent=False, clipped=False,
-                   takes_k=False, envelope=True, cli="binary"),
-    "kconvex": dict(kernel=_kernels._k_smallest_mean, reads_parent=False, clipped=True,
-                    takes_k=True, envelope=True, cli="kconvex"),
-    "laplacian_full": dict(kernel=_kernels._mean_kernel, reads_parent=True, clipped=True,
-                           takes_k=False, envelope=False, cli="laplacian-full"),
+    "convex": dict(kernel=_kernels._min_kernel, reads_parent=True, takes_k=False,
+                   envelope=True, cli="convex"),
+    "binary": dict(kernel=_kernels._min_kernel, reads_parent=False, takes_k=False,
+                   envelope=True, cli="binary"),
+    "kconvex": dict(kernel=_kernels._k_smallest_mean, reads_parent=False, takes_k=True,
+                    envelope=True, cli="kconvex"),
+    "laplacian_full": dict(kernel=_kernels._mean_kernel, reads_parent=True, takes_k=False,
+                           envelope=False, cli="laplacian-full"),
     "laplacian_arborescence": dict(kernel=_kernels._mean_kernel, reads_parent=False,
-                                   clipped=True, takes_k=False, envelope=False,
-                                   cli="laplacian-arb"),
+                                   takes_k=False, envelope=False, cli="laplacian-arb"),
 }
 
 

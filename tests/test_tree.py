@@ -256,10 +256,27 @@ class TestTruncatedTree:
         (lambda: SolveConfig(tol=True), "tol must be finite and positive, got True"),
         (lambda: is_convex_operator(TreeFunction.from_values(TruncatedTree(2, 2), np.zeros(7)),
                                     tol=False), "tol must be finite and non-negative, got False"),
+        # a bool level gave vertex 1, and a float index failed on a digit 0.0
+        (lambda: Vertex.from_level_index(2, True, 1), "level must be an integer, got True"),
+        (lambda: Vertex.from_level_index(2, 2, 1.5), "index must be an integer, got 1.5"),
+        # a bool level was the level 1, and a float level gave a float size
+        (lambda: TruncatedTree(2, 3).level_size(True), "level must be an integer, got True"),
+        (lambda: TruncatedTree(2, 3).level_size(1.0), "level must be an integer, got 1.0"),
+        (lambda: TruncatedTree(2, 3).level_offset(False), "level must be an integer, got False"),
+        (lambda: TruncatedTree(2, 3).vertex_at(3.0), "flat index must be an integer, got 3.0"),
     ])
     def test_wrapping_sizes_and_bools_are_refused(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+    def test_numpy_levels_do_not_wrap(self):
+        # 2**np.int64(64) is 0, so this index was refused as out of range
+        v = Vertex.from_level_index(2, np.int64(64), 5)
+        assert v.level == 64 and v.index == 5
+        tree = TruncatedTree(2, 3)
+        for got, want in [(tree.level_size(np.int64(2)), 4), (tree.level_offset(np.int32(3)), 7)]:
+            assert got == want and type(got) is int
+        assert tree.vertex_at(np.int64(14)) == Vertex(2, (1, 1, 1))
 
     @pytest.mark.parametrize("call,message", [
         (lambda t: t.vertex_at(-1), "flat index -1 out of range"),
