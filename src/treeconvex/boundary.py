@@ -14,6 +14,7 @@ no attainment is claimed at interval endpoints.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -92,7 +93,7 @@ def _knot_error(pts) -> tuple[int, str] | None:
     the reason), or None; a piecewise datum and `load_datum_csv` both say it."""
     for i, knot in enumerate(pts, start=1):
         for name, value in zip("tg", knot):
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 return i, f"{name} must be finite, got {value}"
     if pts[0][0] != 0.0:
         return 1, f"first t must be 0, got {pts[0][0]}"
@@ -138,20 +139,23 @@ def load_datum_csv(path: str) -> BoundaryDatum:
 def parse_datum(spec: str) -> BoundaryDatum:
     """Parse a datum spec: "constant:c", "affine:slope,intercept", "power:p",
     "absdev:c", "indicator:lo,hi" (the families of `_FAMILIES`), or a path to
-    a piecewise-linear CSV."""
-    if ":" in spec:
-        kind, _, arg = spec.partition(":")
-        kind = kind.strip().lower()
+    a piecewise-linear CSV.  A spec is a family when the text before its
+    first ':' names one; any other spec that names an existing file is a
+    path, ':' or not."""
+    kind, colon, arg = spec.partition(":")
+    kind = kind.strip().lower()
+    if colon and kind in _FAMILIES:
         try:
             args = [float(a) for a in arg.split(",")] if arg else []
         except ValueError as exc:
             raise ValueError(f"malformed datum arguments in {spec!r}") from exc
-        if kind in _FAMILIES and len(args) == len(_FAMILIES[kind][0].split(",")):
+        if len(args) == len(_FAMILIES[kind][0].split(",")):
             return BoundaryDatum(kind, tuple(args))
+    elif os.path.exists(spec):
+        return load_datum_csv(spec)
+    if colon:
         families = "".join(f"{name}:{row[0]}, " for name, row in _FAMILIES.items())
         raise ValueError(f"unknown datum spec {spec!r}; expected {families}or a CSV file path")
-    if os.path.exists(spec):
-        return load_datum_csv(spec)
     raise ValueError(f"datum {spec!r} is neither a builtin family nor an existing file")
 
 

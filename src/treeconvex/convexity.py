@@ -3,9 +3,9 @@
 Two routes to every convexity notion are kept deliberately separate:
 
 * operator form - the one-step min inequality at each vertex, evaluated
-  level by level by the kernels of `treeconvex._kernels`, or at one vertex
-  from its successor (and predecessor) values by `op_convex` and
-  `op_binary`;
+  level by level by the kernels of `treeconvex._kernels`; `op_convex` and
+  `op_binary` evaluate it at one vertex for the benchmark's sampled checks
+  (`perfbench/`), and the tests take theirs from `tests/oracles.py`;
 * definitional form - brute force over the defining objects (minimal-path
   segments, or finite binary subtrees with their endpoint weights).
 
@@ -56,36 +56,31 @@ SUBTREE_BLOCK_AVERAGES = 2**15
 # pointwise operators
 # ---------------------------------------------------------------------------
 
-def _successor_values(u: TreeFunction, x: Vertex) -> np.ndarray:
+def _pair_term(u: TreeFunction, x: Vertex) -> tuple[float, float]:
+    """(the least successor-pair average at x, the smallest successor value),
+    from one read of x's m successors, which start at flat index
+    m * flat(x) + 1."""
     tree = u.tree
-    if not tree.is_interior(x):
+    first = tree.m * tree.flat_index(x) + 1
+    if x.level == tree.depth:
         raise ValueError(f"operator undefined at leaf {x} (no successors in the tree)")
-    off = tree.level_offset(x.level + 1) + x.index * tree.m
-    return u.values[off : off + tree.m]
-
-
-def _parent_value(u: TreeFunction, x: Vertex) -> float:
-    return float(u.values[u.tree.flat_index(x.parent)])
+    part = np.partition(u.values[first : first + tree.m], 1)
+    return (part[0] + part[1]) / 2.0, part[0]
 
 
 def op_convex(u: TreeFunction, x: Vertex) -> float:
-    """min of successor-pair averages and, off the root, of the predecessor
+    """min of op_binary's pair term and, off the root, of the predecessor
     branches (u(parent) + m*u(y)) / (m+1)."""
-    m = u.tree.m
-    s = _successor_values(u, x)
-    part = np.partition(s, 1)
-    pair = (part[0] + part[1]) / 2.0
+    pair, low = _pair_term(u, x)
     if x.is_root:
         return float(pair)
-    pred = (_parent_value(u, x) + m * part[0]) / (m + 1)
-    return float(min(pair, pred))
+    m = u.tree.m
+    return float(min(pair, (u.values[u.tree.flat_index(x.parent)] + m * low) / (m + 1)))
 
 
 def op_binary(u: TreeFunction, x: Vertex) -> float:
     """min over unordered successor pairs of the pair average."""
-    s = _successor_values(u, x)
-    part = np.partition(s, 1)
-    return float((part[0] + part[1]) / 2.0)
+    return float(_pair_term(u, x)[0])
 
 
 # ---------------------------------------------------------------------------

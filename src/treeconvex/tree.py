@@ -53,14 +53,15 @@ class Vertex:
 
     @classmethod
     def parse(cls, m: int, text: str) -> Vertex:
-        """Parse the dotted text form, e.g. "1.0.2"; the root is "root"."""
+        """Parse the dotted text form, e.g. "1.0.2"; the root is "root".  Each
+        part, stripped of surrounding whitespace, is ASCII decimal digits:
+        `int` would also take a sign, '_' and other scripts' digits."""
         if text == ROOT_TEXT:
             return cls(m, ())
-        try:
-            digits = tuple(int(part) for part in text.split("."))
-        except ValueError as exc:
-            raise ValueError(f"malformed vertex text {text!r}") from exc
-        return cls(m, digits)
+        parts = [part.strip() for part in text.split(".")]
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError(f"malformed vertex text {text!r}")
+        return cls(m, tuple(map(int, parts)))
 
     @property
     def level(self) -> int:
@@ -178,18 +179,11 @@ class TruncatedTree:
     def interior_slice(self) -> slice:
         return slice(0, self.level_offset(self.depth))
 
-    def is_interior(self, v: Vertex) -> bool:
-        self._check_member(v)
-        return v.level < self.depth
-
-    def _check_member(self, v: Vertex) -> None:
+    def flat_index(self, v: Vertex) -> int:
         if v.m != self.m:
             raise ValueError(f"vertex has m={v.m}, tree has m={self.m}")
         if v.level > self.depth:
             raise ValueError(f"vertex {v} is below the depth-{self.depth} cut")
-
-    def flat_index(self, v: Vertex) -> int:
-        self._check_member(v)
         return self.level_offset(v.level) + v.index
 
     def vertex_at(self, flat: int) -> Vertex:

@@ -19,7 +19,10 @@ by level, taking the smallest successors from a sort and the Laplacian
 weights from `laplacian_weights`, and `jacobi` descends from the sup of the
 leaf data or from the obstacle, each sweep reading the previous one's
 values.  Neither reads the library's kernels or solver.  `exact_one_pass`
-solves the successor-only variants in `Fraction`, one pass from the leaves.
+solves the successor-only variants in `Fraction`, one pass from the leaves;
+`exact_laplacian_full` solves the full Laplacian by one exact elimination,
+and `exact_howard` the convex equation, with or without an obstacle, by
+policy iteration on that elimination.
 `read_function_csv` reads every file one `csv` row at a time.
 """
 
@@ -245,6 +248,23 @@ def op_kconvex(u: TreeFunction, x: Vertex, k: int) -> float:
     return sum(sorted(s)[:k]) / k
 
 
+def op_binary(u: TreeFunction, x: Vertex) -> float:
+    """The least successor-pair average, over every pair."""
+    return min((a + b) / 2 for a, b in combinations(successor_values(u, x), 2))
+
+
+def op_convex(u: TreeFunction, x: Vertex) -> float:
+    """The least of the successor-pair averages and, off the root, of the m
+    predecessor branches (u(parent) + m * u(y)) / (m + 1), y a successor;
+    the pairs come first, so a tie keeps a pair's value."""
+    m, s = u.tree.m, successor_values(u, x)
+    terms = [(a + b) / 2 for a, b in combinations(s, 2)]
+    if x.digits:
+        up = digit_value(u, x.digits[:-1])
+        terms += [(up + m * y) / (m + 1) for y in s]
+    return min(terms)
+
+
 def eigenvalues_convex(u: TreeFunction, x: Vertex) -> list[float]:
     """All second-difference terms at a non-root x: the C(m,2) successor-pair
     terms, then the m predecessor-branch terms."""
@@ -401,6 +421,92 @@ def exact_one_pass(m: int, depth: int, variant: str, k: int | None = None, leave
             op = sum(sorted(succ)[:take]) / take
             values[start + i] = op if bound is None else min(op, bound[start + i])
     return values
+
+
+def exact_eliminate(m: int, depth: int, values: list[Fraction], row) -> list[Fraction]:
+    """The solution, exact and in flat order, of the linear system u(x) =
+    a u(parent) + sum_c w_c u(xc) + b at every interior vertex x, with the
+    leaves of `values` fixed; `row(x)` gives (a, w, b) at flat index x, w
+    the weights of the successors m x + 1, ..., m x + m, and a is 0 at the
+    root.  From the leaves up, each vertex's equation with its successors'
+    rows u(xc) = alpha_c u(x) + beta_c put in gives its own row; from the
+    root down, the rows give the values."""
+    inner = level_start(m, depth)
+    alpha, beta = [Fraction(0)] * len(values), list(values)
+    for x in reversed(range(inner)):
+        a, w, b = row(x)
+        succ = range(m * x + 1, m * x + m + 1)
+        pivot = 1 - sum(wc * alpha[c] for wc, c in zip(w, succ))
+        alpha[x] = a / pivot
+        beta[x] = (b + sum(wc * beta[c] for wc, c in zip(w, succ))) / pivot
+    u = list(values)
+    for x in range(inner):
+        u[x] = beta[x] + (alpha[x] * u[(x - 1) // m] if x else 0)
+    return u
+
+
+def exact_laplacian_full(m: int, depth: int, leaves) -> list[Fraction]:
+    """The full-tree Laplacian's solution with the given leaf data, exact and
+    in flat order: one `exact_eliminate` with the exact weights 2/(m+1)^2 of
+    the predecessor and (m^2+2m-1)/(m+1)^2 of the successor average, and the
+    successor average at the root."""
+    c_pred, c_succ = Fraction(2, (m + 1) ** 2), Fraction(m * m + 2 * m - 1, (m + 1) ** 2)
+    values = [Fraction(0)] * level_start(m, depth) + [Fraction(x) for x in leaves]
+
+    def row(x):
+        return (c_pred, [c_succ / m] * m, 0) if x else (0, [Fraction(1, m)] * m, 0)
+
+    return exact_eliminate(m, depth, values, row)
+
+
+@dataclass
+class ExactRun:
+    values: list[Fraction]  # flat order
+    evaluations: int
+    ties: int  # interior vertices whose least term at `values` more than one choice attains
+
+
+def exact_howard(m: int, depth: int, leaves=None, obstacle=None) -> ExactRun:
+    """The largest solution of the convex equation, or of its obstacle
+    problem, exact, by Howard policy iteration.  From the sup of the leaf
+    data (or from the obstacle, whose leaves are then the data), each step
+    chooses at every interior vertex one term that attains the operator at
+    the current values: a successor pair, off the root a predecessor branch
+    with one successor, or the obstacle.  Of tied terms it keeps the previous
+    choice, or else takes the first, and it counts the vertices with a tie.
+    The chosen system is solved by `exact_eliminate`, until no choice
+    changes.  Float data are converted exactly."""
+    inner = level_start(m, depth)
+    bound = None if obstacle is None else [Fraction(x) for x in obstacle]
+    if bound is None:
+        data = [Fraction(x) for x in leaves]
+        values = [max(data)] * inner + data
+    else:
+        values = list(bound)
+    zero, half, branch = Fraction(0), Fraction(1, 2), (Fraction(1, m + 1), Fraction(m, m + 1))
+    rows = [(zero, tuple(half if c in pair else zero for c in range(m)), zero)
+            for pair in combinations(range(m), 2)]
+    rows += [(branch[0], tuple(branch[1] if c == y else zero for c in range(m)), zero)
+             for y in range(m)]
+    policy, evaluations = [None] * inner, 0
+    while True:
+        changed, ties = False, 0
+        for x in range(inner):
+            up = values[(x - 1) // m] if x else zero
+            succ = values[m * x + 1: m * x + m + 1]
+            choices = rows if x else rows[: m * (m - 1) // 2]
+            if bound is not None:
+                choices = choices + [(zero, (zero,) * m, bound[x])]
+            terms = [a * up + sum(w * u for w, u in zip(ws, succ)) + b for a, ws, b in choices]
+            least = min(terms)
+            attain = [row for row, t in zip(choices, terms) if t == least]
+            ties += len(attain) > 1
+            if policy[x] not in attain:
+                policy[x], changed = attain[0], True
+        if not changed:
+            return ExactRun(values, evaluations, ties)
+        values = exact_eliminate(m, depth, values, policy.__getitem__)
+        evaluations += 1
 
 
 def descendants(tree: TruncatedTree, x0: Vertex):

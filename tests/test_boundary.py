@@ -64,6 +64,14 @@ class TestDatumFamilies:
             with pytest.raises(ValueError, match="unknown datum"):
                 parse_datum(spec)
 
+    def test_path_with_colon(self, tmp_path):
+        # a path whose text before the first ':' names no family is a path
+        (tmp_path / "run:1").mkdir()
+        want = BoundaryDatum.piecewise_linear([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
+        for path in (tmp_path / "run:1" / "datum.csv", tmp_path / "g:1.csv"):
+            path.write_text("t,g\n0,0\n0.5,1\n1,0\n")
+            assert parse_datum(str(path)) == want
+
     def test_csv_loading_and_row_errors(self, tmp_path):
         good = tmp_path / "g.csv"
         good.write_text("t,g\n0,0\n0.5,1\n1,0\n")

@@ -205,6 +205,18 @@ class TestSolve:
         assert code == 2
         assert "row 4" in capsys.readouterr().err
 
+    def test_datum_path_with_colon(self, tmp_path, monkeypatch):
+        # "run:1/datum.csv" was read as a family "run" with arguments
+        # "1/datum.csv" and refused as malformed; a file that exists is a path
+        (tmp_path / "run:1").mkdir()
+        (tmp_path / "run:1" / "datum.csv").write_text("t,g\n0,0\n1,1\n")
+        (tmp_path / "plain.csv").write_text("t,g\n0,0\n1,1\n")
+        monkeypatch.chdir(tmp_path)
+        for datum, out in [("plain.csv", "plain-u.csv"), ("run:1/datum.csv", "colon-u.csv")]:
+            assert run("solve", "--m", "2", "--depth", "3", "--datum", datum,
+                       "--out-csv", out) == 0
+        assert (tmp_path / "colon-u.csv").read_bytes() == (tmp_path / "plain-u.csv").read_bytes()
+
     def test_datum_csv_blank_lines(self, tmp_path, capsys):
         # a blank line inside a datum file or at its end is skipped, as in a
         # function CSV; a refused row is named by its file line
@@ -391,18 +403,33 @@ class TestInputErrors:
         (CONVERGE + ["--depths", "3,,4"], "malformed depths '3,,4'"),
         (CONVERGE + ["--datum", "DIR/one.csv"],
          "DIR/one.csv: piecewise datum needs at least two knots, got 1"),
+        # a spec is a family only when the text before its first ':' names
+        # one; any other spec is a path, and a missing one is still refused
+        (SOLVE + ["--datum", "constant:"], f"unknown datum spec 'constant:'; {KINDS}"),
+        (SOLVE + ["--datum", "power:1,2"], f"unknown datum spec 'power:1,2'; {KINDS}"),
+        (SOLVE + ["--datum", "DIR/no:such.csv"], f"unknown datum spec 'DIR/no:such.csv'; {KINDS}"),
+        (SOLVE + ["--datum", "DIR/nosuch.csv"],
+         "datum 'DIR/nosuch.csv' is neither a builtin family nor an existing file"),
     ], ids=["inf-x", "foo", "inf-alias", "power-x", "const-alias", "abs_dev-alias",
             "empty-datum", "wide-datum", "one-knot", "no-knot", "big-datum-cell", "knot-g-nan",
             "knot-g-inf", "knot-t-nan", "power-nan", "constant-inf", "absdev-nan", "affine-inf",
             "indicator-nan", "converge-affine-inf", "affine-overflow", "laplacian-arb-k",
             "laplacian-full-k", "depth-0",
-            "empty-depth", "converge-one-knot"])
+            "empty-depth", "converge-one-knot", "constant-empty", "power-two",
+            "missing-colon-path", "missing-path"])
     def test_refused_with_message(self, tmp_path, capsys, argv, message):
         for name, text in DATUM_FILES.items():
             (tmp_path / name).write_text(text)
         argv = [a.replace("DIR", str(tmp_path)) for a in argv]
         assert run(*argv) == 2
         assert capsys.readouterr().err == f"error: {message.replace('DIR', str(tmp_path))}\n"
+
+    def test_vertex_text_is_ascii_digits(self, tmp_path, capsys):
+        # `int` read "-0" as 0 and "+1" as 1, so this file passed as m=2 depth 1
+        fn = tmp_path / "f.csv"
+        fn.write_text("vertex,value\nroot,0\n-0,1\n+1,1\n")
+        assert run("check", "--m", "2", "--depth", "1", "--function", str(fn)) == 2
+        assert capsys.readouterr().err == f"error: {fn}: row 3: malformed vertex text '-0'\n"
 
     def test_obstacle_offers_only_envelope_variants(self, tmp_path, capsys):
         fn = tmp_path / "f.csv"

@@ -23,8 +23,6 @@ from treeconvex import (
     is_binary_convex,
     is_convex_operator,
     is_convex_segment,
-    op_binary,
-    op_convex,
     residual,
     solve_dirichlet,
 )
@@ -63,7 +61,8 @@ class TestOperators:
     def test_op_convex_example(self):
         tree = TruncatedTree(3, 2)
         u = function_with(tree, {"root": 0.0, "1.0": 3.0, "1.1": 1.0, "1.2": 2.0})
-        assert op_convex(u, Vertex(3, (1,))) == pytest.approx(0.75)
+        assert oracles.op_convex(u, Vertex(3, (1,))) == pytest.approx(0.75)
+        assert level_operator(tree, u.values, 1, "convex")[1] == pytest.approx(0.75)
 
     def test_level_kernels_match_pointwise_operators(self):
         """Each row of the per-variant kernel table equals the independent
@@ -80,8 +79,8 @@ class TestOperators:
                    for run in runs}
             for x in interior_vertices(tree):
                 row = {run: ops[run][x.level][x.index] for run in runs}
-                assert row["convex", None] == op_convex(u, x), x
-                assert row["binary", None] == op_binary(u, x), x
+                assert row["convex", None] == oracles.op_convex(u, x), x
+                assert row["binary", None] == oracles.op_binary(u, x), x
                 for k in range(2, m + 1):
                     assert row["kconvex", k] == oracles.op_kconvex(u, x, k), (x, k)
                 ux = u.values[tree.flat_index(x)]
@@ -115,9 +114,12 @@ class TestOperators:
         tree = TruncatedTree(3, 2)
         u = TreeFunction.from_values(tree, np.full(tree.vertex_count, 4.25))
         for x in interior_vertices(tree):
-            assert op_convex(u, x) == 4.25
-            assert op_binary(u, x) == 4.25
+            assert oracles.op_convex(u, x) == 4.25
+            assert oracles.op_binary(u, x) == 4.25
             assert oracles.op_kconvex(u, x, 3) == 4.25
+        for level in range(tree.depth):
+            for variant in ("convex", "binary"):
+                assert (level_operator(tree, u.values, level, variant) == 4.25).all()
 
     def test_op_convex_at_reference_vertex(self):
         # at x0 both terms evaluate to known closed-form values and the
@@ -125,24 +127,24 @@ class TestOperators:
         tree = TruncatedTree(3, 4)
         x0 = Vertex(3, (1,))
         u = oracles.reference_convex_indicator(tree, x0)
-        assert op_convex(u, x0) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert oracles.op_convex(u, x0) == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert u.values[tree.flat_index(x0)] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_op_binary_examples(self):
         tree = TruncatedTree(3, 1)
         u = function_with(tree, {"0": 3.0, "1": 1.0, "2": 2.0})
-        assert op_binary(u, Vertex(3, ())) == 1.5
+        assert oracles.op_binary(u, Vertex(3, ())) == 1.5
 
         tree2 = TruncatedTree(2, 1)
         u2 = function_with(tree2, {"0": -1.0, "1": 4.0})
-        assert op_binary(u2, Vertex(2, ())) == 1.5  # unique pair
+        assert oracles.op_binary(u2, Vertex(2, ())) == 1.5  # unique pair
 
     def test_op_kconvex_examples(self):
         tree = TruncatedTree(4, 1)
         u = function_with(tree, {"0": 4.0, "1": 1.0, "2": 2.0, "3": 9.0})
         root = Vertex(4, ())
         assert oracles.op_kconvex(u, root, 3) == pytest.approx(7.0 / 3.0)
-        assert oracles.op_kconvex(u, root, 2) == op_binary(u, root)
+        assert oracles.op_kconvex(u, root, 2) == oracles.op_binary(u, root)
         assert oracles.op_kconvex(u, root, 4) == pytest.approx(4.0)  # plain average
 
     def test_kconvex_matches_binary_randomly(self):
@@ -151,17 +153,37 @@ class TestOperators:
         for _ in range(20):
             u = random_function(tree, rng)
             for x in interior_vertices(tree):
-                assert oracles.op_kconvex(u, x, 2) == op_binary(u, x)
+                assert oracles.op_kconvex(u, x, 2) == oracles.op_binary(u, x)
                 assert oracles.op_kconvex(u, x, 4) == pytest.approx(
                     float(np.mean([u.values[tree.flat_index(c)] for c in children(x)])), abs=1e-14)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_library_pointwise_operators_match_oracle(self, m):
+        """The library's `op_convex` and `op_binary`, which the benchmark's
+        checks import, equal the oracle's bit for bit, as Python floats, at
+        every interior vertex, on uniform data and on tied integers; at every
+        leaf both refuse."""
+        from treeconvex import op_binary, op_convex
+
+        rng = np.random.default_rng([47, m])
+        tree = TruncatedTree(m, 3)
+        n = tree.vertex_count
+        for values in (rng.uniform(-1, 1, n), rng.integers(-2, 3, n).astype(float)):
+            u = TreeFunction.from_values(tree, values)
+            for x in interior_vertices(tree):
+                for got, want in [(op_convex(u, x), oracles.op_convex(u, x)),
+                                  (op_binary(u, x), oracles.op_binary(u, x))]:
+                    assert type(got) is type(want) is float
+                    assert got.hex() == want.hex(), x
+        for x in oracles.vertices(tree)[tree.interior_count:]:
+            for fn in (op_convex, op_binary):
+                with pytest.raises(ValueError) as exc:
+                    fn(u, x)
+                assert str(exc.value) == f"operator undefined at leaf {x} (no successors in the tree)"
 
     def test_leaf_rejected(self):
         tree = TruncatedTree(2, 2)
         u = TreeFunction.from_values(tree, np.zeros(tree.vertex_count))
-        leaf = Vertex(2, (0, 1))
-        for fn in (op_convex, op_binary):
-            with pytest.raises(ValueError, match="leaf"):
-                fn(u, leaf)
         with pytest.raises(ValueError, match=r"^level 2 is not interior \(depth 2\)$"):
             level_operator(tree, u.values, tree.depth, "convex")
 
@@ -192,10 +214,11 @@ class TestEigenvalues:
             tree = TruncatedTree(m, 3)
             for _ in range(10):
                 u = random_function(tree, rng)
+                ops = [level_operator(tree, u.values, level, "convex") for level in range(3)]
                 for x in interior_vertices(tree):
                     if x.is_root:
                         continue
-                    gap = op_convex(u, x) - u.values[tree.flat_index(x)]
+                    gap = ops[x.level][x.index] - u.values[tree.flat_index(x)]
                     assert min(oracles.eigenvalues_convex(u, x)) == pytest.approx(gap, abs=1e-12)
 
     def test_sum_identities_exact_rational(self):
@@ -307,7 +330,7 @@ class TestReferences:
         # the inequality (convexity itself) still holds there
         tree = TruncatedTree(2, 5)
         u = oracles.reference_convex_indicator(tree, Vertex(2, (1,)))
-        assert op_convex(u, Vertex(2, ())) == 0.25
+        assert oracles.op_convex(u, Vertex(2, ())) == 0.25
         assert residual(u, "convex") == 0.25
         assert is_convex_operator(u).ok
 
@@ -315,7 +338,7 @@ class TestReferences:
         assert residual(u2, "convex") <= 1e-15
 
         b = oracles.reference_binary_indicator(tree, Vertex(2, (1, 0)))
-        assert op_binary(b, Vertex(2, (1,))) == 0.5
+        assert oracles.op_binary(b, Vertex(2, (1,))) == 0.5
         assert residual(b, "binary") == 0.5
         assert is_binary_convex(b).ok
 
@@ -328,7 +351,7 @@ class TestReferences:
         assert is_binary_convex(u, mode="operator").ok
         assert is_binary_convex(u, mode="subtrees").ok
         # not convex: at x0 the predecessor branch gives m/(m+1) < 1
-        assert op_convex(u, x0) == pytest.approx(3 / 4)
+        assert oracles.op_convex(u, x0) == pytest.approx(3 / 4)
         check = is_convex_operator(u)
         assert not check.ok
         assert tree.flat_index(x0) in check.violations
@@ -403,7 +426,7 @@ class TestPredicates:
                 u = random_function(tree, rng)
                 check = is_convex_operator(u)
                 assert check.ok == is_convex_segment(u).ok
-                assert_pointwise_violations(check, u, op_convex)
+                assert_pointwise_violations(check, u, oracles.op_convex)
                 levels.add(len({tree.vertex_at(flat).level for flat in check.violations}))
         assert max(levels) >= 3
 
@@ -416,7 +439,7 @@ class TestPredicates:
                 u = random_function(tree, rng)
                 check = is_binary_convex(u, mode="operator")
                 assert check.ok == is_binary_convex(u, mode="subtrees").ok
-                assert_pointwise_violations(check, u, op_binary)
+                assert_pointwise_violations(check, u, oracles.op_binary)
                 levels.add(len({tree.vertex_at(flat).level for flat in check.violations}))
         assert max(levels) >= 3
 
@@ -700,8 +723,10 @@ class TestBruteForceArrays:
 
     def test_oracle_imports_only_data_types(self):
         # the oracle may not call the library it checks, so it imports neither
-        # `treeconvex._kernels` nor `treeconvex.solver`: from the package it
-        # takes the tree and function types, and `Vertex` for `Vertex.parse`
+        # `treeconvex._kernels`, `treeconvex.convexity` nor `treeconvex.solver`
+        # (its pointwise operators, level operator and exact solves are its
+        # own): from the package it takes the tree and function types, and
+        # `Vertex` for `Vertex.parse`
         source = ast.parse(Path(oracles.__file__).read_text())
         imported = set()
         for node in ast.walk(source):

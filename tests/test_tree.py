@@ -59,6 +59,17 @@ class TestVertex:
         assert str(Vertex(3, (1, 0, 2))) == "1.0.2"
         with pytest.raises(ValueError):
             Vertex.parse(3, "1.x")
+        # a part is read with leading zeros and surrounding whitespace
+        for text, digits in [("00", (0,)), ("1.02", (1, 2)), (" 1", (1,)), ("2 .\t0", (2, 0))]:
+            assert Vertex.parse(3, text) == Vertex(3, digits)
+
+    @pytest.mark.parametrize("m,text", [(2, "-0"), (2, "+1"), (12, "1_0"), (3, "\u0661.\u0662"),
+                                        (3, "\u00b2"), (2, ""), (3, "1..2"), (2, "1.")])
+    def test_parse_refuses_what_only_int_accepts(self, m, text):
+        # `int` read "-0" as 0, "+1" as 1, "1_0" as 10 and Arabic-Indic "1.2" as 1.2
+        with pytest.raises(ValueError) as exc:
+            Vertex.parse(m, text)
+        assert str(exc.value) == f"malformed vertex text {text!r}"
 
     @pytest.mark.parametrize("m,depth", [(2, 10), (3, 7), (5, 5)])
     def test_level_index_roundtrip_full(self, m, depth):
@@ -208,12 +219,14 @@ class TestTruncatedTree:
 
     def test_interior_and_leaf_queries(self):
         tree = TruncatedTree(2, 3)
-        assert tree.is_interior(Vertex(2, (0, 1)))
-        assert not tree.is_interior(Vertex(2, (0, 1, 1)))
-        with pytest.raises(ValueError):
-            tree.is_interior(Vertex(2, (0, 1, 1, 0)))
-        with pytest.raises(ValueError):
+        assert tree.flat_index(Vertex(2, (0, 1))) == 4
+        assert tree.flat_index(Vertex(2, (0, 1, 1))) == 10  # a leaf
+        with pytest.raises(ValueError) as exc:
+            tree.flat_index(Vertex(2, (0, 1, 1, 0)))
+        assert str(exc.value) == "vertex 0.1.1.0 is below the depth-3 cut"
+        with pytest.raises(ValueError) as exc:
             tree.flat_index(Vertex(3, (0,)))
+        assert str(exc.value) == "vertex has m=3, tree has m=2"
 
     @pytest.mark.parametrize("m,depth", [(2, 1), (2, 6), (3, 1), (3, 4), (5, 3), (11, 2)])
     def test_labels_are_vertex_texts(self, m, depth):
