@@ -2,7 +2,7 @@
 
 All operators read only the parent level and the successor level of the
 vertex being updated, never the vertex itself, so a whole level is
-evaluated in one shot, and a sweep writes it back in place, leaves to root.
+evaluated in one shot, and a pass writes it back in place, leaves to root.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def check_variant(variant: str, k: int | None, m: int | None = None,
 # parent values as a column, one per run of consecutive rows that share a
 # parent (broadcast, not repeated), or None at the root and for the variants
 # that read only the successor level.  `_min_kernel` is the one code of the
-# convex and binary minimum: it serves the sweeps, the defect, the lift and
+# convex and binary minimum: it serves the binary pass, the defect and
 # `check`, and with its choice codes the Howard policy step, with no sort.
 # `_mean_kernel` is the one successor mean, of the Laplacians, their
 # elimination and kconvex's k smallest (each row sorted once).  Both pass

@@ -90,7 +90,7 @@ class BoundaryDatum:
 
 def _knot_error(pts) -> tuple[int, str] | None:
     """The first bad knot of a table of at least two, as (its number from 1,
-    the reason), or None; a piecewise datum and `load_datum_csv` both say it."""
+    the reason), or None; `load_datum_csv` asks only to name a refused row."""
     for i, knot in enumerate(pts, start=1):
         for name, value in zip("tg", knot):
             if not math.isfinite(value):
@@ -130,10 +130,11 @@ def load_datum_csv(path: str) -> BoundaryDatum:
         lines.append(n)
     if len(knots) < 2:
         raise ValueError(f"{path}: piecewise datum needs at least two knots, got {len(knots)}")
-    bad = _knot_error(knots)
-    if bad is not None:
-        raise ValueError(f"{path}: row {lines[bad[0] - 1]}: {bad[1]}")
-    return BoundaryDatum.piecewise_linear(knots)
+    try:
+        return BoundaryDatum.piecewise_linear(knots)
+    except ValueError:  # a bad knot: the table has two or more, all floats
+        number, reason = _knot_error(knots)
+        raise ValueError(f"{path}: row {lines[number - 1]}: {reason}") from None
 
 
 def parse_datum(spec: str) -> BoundaryDatum:

@@ -15,14 +15,14 @@ level whose choices changed.  The policy step takes its choices from the row
 kernel that evaluates the operator everywhere else, in the same operator pass
 that gives the defect; of tied successors it picks the earliest column.  Each
 iterate is a supersolution of the next policy's system, so the evaluations
-descend.  The rounding of an evaluation grows with the size of the data;
-when it leaves the defect above tol, Gauss-Seidel sweeps from a float
-supersolution just above the iterate finish the solve.
+descend.  A repeated policy is optimal, but the rounding of its evaluation
+grows with the size of the data, so a solve converges when its defect is
+within tol plus `_rounding` of its iterate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
@@ -52,12 +52,12 @@ class SolveConfig:
 @dataclass
 class SolveReport:
     solution: TreeFunction
-    iterations: int  # sweeps, or policy evaluations plus finishing sweeps
-    final_residual: float
+    iterations: int  # policy evaluations, or the one pass
+    final_residual: float  # if converged, within tol + `_rounding`, not tol alone
     converged: bool
-    monotone: bool  # no evaluation rose beyond tol + rounding (sweeps never rise)
+    monotone: bool  # no evaluation rose beyond tol + rounding (a pass never rises)
     worst_vertex: Vertex  # an interior vertex where the final defect peaks
-    last_change: float  # sup-norm change made by the last sweep or evaluation
+    last_change: float  # sup-norm change made by the last evaluation or the pass
 
 
 @dataclass
@@ -104,32 +104,29 @@ def _dirichlet_start(tree: TruncatedTree, leaf_values) -> np.ndarray:
     return values
 
 
-def _iterate(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
-             obstacle: np.ndarray | None = None) -> SolveReport:
-    """Gauss-Seidel sweeps on `values` (leaves already clamped, interior a
-    float supersolution), in place and level by level from the leaves to the
-    root, so each level sees the level below it already updated, until a
-    sweep changes no value by more than tol and the defect is within it, or a
-    change or the defect is not finite.  One pass is exact for the variants
-    that read only the successor level.  As in `_back_substitute`, every
-    vertex keeps the smaller of min(obstacle, operator) and its previous
-    value: no sweep rises, though float averaging can overshoot by an ulp."""
-    iterations = 0
-    while True:
-        change = 0.0
-        for sl, new_level in operator_levels(tree, values, cfg.variant, cfg.k, obstacle):
-            np.minimum(new_level, values[sl], out=new_level)
-            # np.maximum keeps a NaN change, which the builtin max drops
-            change = float(np.maximum(change, np.max(values[sl] - new_level)))
-            values[sl] = new_level
-        iterations += 1
-        stop = iterations == cfg.max_iter or not np.isfinite(change)
-        if change <= cfg.tol or stop:
-            defect, worst = _defect(tree, values, cfg.variant, cfg.k, obstacle)
-            if defect <= cfg.tol or stop or not np.isfinite(defect):
-                break
-    return SolveReport(TreeFunction(tree, values), iterations, defect, defect <= cfg.tol,
-                       True, tree.vertex_at(worst), change)
+def _rounding(tree: TruncatedTree, values: np.ndarray) -> float:
+    """4 ulps per level of max |interior|: the rounding a solve may leave."""
+    inner = values[tree.interior_slice]
+    return float(4 * tree.depth * np.spacing(max(-inner.min(), inner.max())))
+
+
+def _one_pass(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
+              obstacle: np.ndarray | None = None) -> SolveReport:
+    """One Gauss-Seidel pass on `values` (leaves clamped, interior a float
+    supersolution), in place from the leaves to the root, so each level reads
+    the level below it updated: exact for the variants that read only the
+    successor level.  As in `_back_substitute`, every vertex keeps the
+    smaller of min(obstacle, operator) and its previous value."""
+    change = 0.0
+    for sl, new_level in operator_levels(tree, values, cfg.variant, cfg.k, obstacle):
+        np.minimum(new_level, values[sl], out=new_level)
+        # np.maximum keeps a NaN change, which the builtin max drops
+        change = float(np.maximum(change, np.max(values[sl] - new_level)))
+        values[sl] = new_level
+    defect, worst = _defect(tree, values, cfg.variant, cfg.k, obstacle)
+    converged = defect <= cfg.tol + _rounding(tree, values)
+    return SolveReport(TreeFunction(tree, values), 1, defect, converged, True,
+                       tree.vertex_at(worst), change)
 
 
 def _eliminate(tree: TruncatedTree, values: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
@@ -270,27 +267,6 @@ class _ConvexPolicy:
         return np.where(branch, 1.0 / (m + 1), 0.0)
 
 
-def _lift(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
-          obstacle: np.ndarray | None, c: float, base: np.ndarray) -> None:
-    """Raise the interior of `values` to a float supersolution, u >=
-    min(obstacle, operator(u)) at every interior vertex, by adding
-    c * (depth - level), doubling c until it holds.
-    `base` is a free interior-size buffer.
-
-    The lift falls by c per level towards the leaves, so every choice of
-    either operator lowers it by a fixed fraction of c, and a lift well above
-    the defect of `values` absorbs the defect and the rounding."""
-    base[:] = values[tree.interior_slice]
-    while True:
-        for level in range(tree.depth):
-            sl = tree.level_slice(level)
-            values[sl] = base[sl] + c * (tree.depth - level)
-        if all(np.all(values[sl] >= op)
-               for sl, op in operator_levels(tree, values, cfg.variant, cfg.k, obstacle)):
-            return
-        c *= 2.0
-
-
 def _howard(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
             obstacle: np.ndarray | None = None) -> SolveReport:
     """The direct engine for the variants that read the parent level, on
@@ -298,7 +274,6 @@ def _howard(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
     solve for a Laplacian, Howard policy iteration for an envelope.  An
     evaluation eliminates again only from the deepest level whose policy
     changed."""
-    interior = tree.interior_slice
     policy = _ConvexPolicy(tree, obstacle) if _VARIANTS[cfg.variant].envelope else None
     system = _laplacian_system(tree) if policy is None else policy.system
     alpha, beta = np.empty(tree.interior_count), np.empty(tree.interior_count)
@@ -310,11 +285,10 @@ def _howard(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
         iterations += 1
         # In exact arithmetic an evaluation never rises above the previous
         # iterate, but rounding can lift it by a few ulps of the data: only a
-        # rise beyond tol plus 4 ulps per level counts against `monotone`,
-        # and the iterate keeps the smaller value, so the descent stays exact.
-        prev = values[interior]
-        rounding = 4 * tree.depth * np.spacing(max(-prev.min(), prev.max()))
-        change, within = _back_substitute(tree, values, alpha, beta, cfg.tol + rounding)
+        # rise beyond tol plus `_rounding` counts against `monotone`, and the
+        # iterate keeps the smaller value, so the descent stays exact.
+        change, within = _back_substitute(tree, values, alpha, beta,
+                                          cfg.tol + _rounding(tree, values))
         monotone = monotone and within
         if policy is None:
             (defect, worst), changed = _defect(tree, values, cfg.variant, cfg.k), -1
@@ -323,17 +297,9 @@ def _howard(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
         # An unchanged policy would evaluate to the same iterate again.
         if not (defect > cfg.tol and changed >= 0 and iterations < cfg.max_iter):
             break
-    if np.isfinite(defect) and defect > cfg.tol and iterations < cfg.max_iter:
-        # The policy is optimal, but the rounding of its evaluation grows with
-        # the size of the data and left the defect above tol.  Gauss-Seidel
-        # sweeps from a float supersolution just above the iterate descend to
-        # a float fixed point, as the reference engines do from the sup.  The
-        # lift is not an evaluation and does not count against `monotone`.
-        _lift(tree, values, cfg, obstacle, defect, alpha)
-        rest = _iterate(tree, values, replace(cfg, max_iter=cfg.max_iter - iterations), obstacle)
-        return replace(rest, iterations=iterations + rest.iterations, monotone=monotone)
-    return SolveReport(TreeFunction(tree, values), iterations, defect, defect <= cfg.tol,
-                       monotone, tree.vertex_at(worst), change)
+    converged = defect <= cfg.tol + _rounding(tree, values)
+    return SolveReport(TreeFunction(tree, values), iterations, defect, converged, monotone,
+                       tree.vertex_at(worst), change)
 
 
 def _solve(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
@@ -342,9 +308,8 @@ def _solve(tree: TruncatedTree, values: np.ndarray, cfg: SolveConfig,
     # names a defect that is not finite, and NumPy's warnings would only
     # come first
     with np.errstate(over="ignore", invalid="ignore"):
-        if _VARIANTS[cfg.variant].reads_parent:
-            return _howard(tree, values, cfg, obstacle)
-        return _iterate(tree, values, replace(cfg, max_iter=1), obstacle)
+        engine = _howard if _VARIANTS[cfg.variant].reads_parent else _one_pass
+        return engine(tree, values, cfg, obstacle)
 
 
 def solve_dirichlet(tree: TruncatedTree, leaf_values, cfg: SolveConfig) -> SolveReport:

@@ -16,9 +16,9 @@ vertex's neighbours by digits, for comparison with the library's level
 kernels, and the closed-form reference functions are built here exactly.
 The reference engine is here too: `operator` evaluates every variant level
 by level, taking the smallest successors from a sort and the Laplacian
-weights from `laplacian_weights`, and `jacobi` descends from the sup of the
-leaf data or from the obstacle, each sweep reading the previous one's
-values.  Neither reads the library's kernels or solver.  `exact_one_pass`
+weights from `laplacian_weights`, and `descend` descends from the sup of the
+leaf data or from the obstacle by Jacobi or Gauss-Seidel sweeps.  Neither
+reads the library's kernels or solver.  `exact_one_pass`
 solves the successor-only variants in `Fraction`, one pass from the leaves;
 `exact_laplacian_full` solves the full Laplacian by one exact elimination,
 and `exact_howard` the convex equation, with or without an obstacle, by
@@ -351,7 +351,7 @@ def operator(tree: TruncatedTree, values: np.ndarray, variant: str, k: int | Non
 
 
 @dataclass
-class JacobiRun:
+class DescentRun:
     """What the tests read of a solve, under the names of the library's
     `SolveReport`, and the coincidence mask of an obstacle problem."""
 
@@ -364,32 +364,43 @@ class JacobiRun:
     coincidence_mask: np.ndarray | None
 
 
-def jacobi(tree: TruncatedTree, variant: str, k: int | None, tol: float, max_iter: int,
-           leaves=None, obstacle: np.ndarray | None = None) -> JacobiRun:
-    """The monotone Jacobi descent to the largest solution: from the leaf data
-    with the interior at their sup, or from the flat `obstacle` values, every
-    sweep sets each interior value to the operator of the previous sweep's
-    values (below the obstacle, if there is one).  The sweeps stop when one
+def descend(tree: TruncatedTree, variant: str, k: int | None, tol: float, max_iter: int,
+            leaves=None, obstacle: np.ndarray | None = None,
+            gauss_seidel: bool = False) -> DescentRun:
+    """The monotone descent to the largest solution: from the leaf data with
+    the interior at their sup, or from the flat `obstacle` values, every
+    sweep sets each interior value to the operator (below the obstacle, if
+    there is one).  A Jacobi sweep reads the previous sweep's values; a
+    Gauss-Seidel sweep updates the levels from the leaves to the root, each
+    from the level below as this sweep wrote it.  The sweeps stop when one
     changes no value by more than tol and the defect is within it, when a
     change or the defect is not finite, or after max_iter sweeps.  Vertices
     within tol of the obstacle coincide with it."""
-    inner = level_start(tree.m, tree.depth)
+    m, depth, inner = tree.m, tree.depth, level_start(tree.m, tree.depth)
     if obstacle is None:
-        values = np.empty(level_start(tree.m, tree.depth + 1))
+        values = np.empty(level_start(m, depth + 1))
         values[inner:] = leaves
         values[:inner] = np.max(leaves)
     else:
         values = np.array(obstacle, dtype=np.float64)
     interior = values[:inner]  # a view: writing it updates `values`
     clip = obstacle is None and variant in CLIPPED
+    # each block of levels is evaluated at once, then written back
+    blocks = [[level] for level in reversed(range(depth))] if gauss_seidel else [range(depth)]
     monotone, iterations = True, 0
     while True:
-        new = operator(tree, values, variant, k, obstacle)
-        if clip:
-            np.minimum(new, interior, out=new)
-        change = float(np.max(np.abs(new - interior)))  # NaN if any change is NaN
-        monotone = monotone and bool(np.all(new <= interior))
-        interior[:] = new
+        change = 0.0
+        for levels in blocks:
+            sl = slice(level_start(m, levels[0]), level_start(m, levels[-1] + 1))
+            new = np.concatenate([level_operator(values, m, level, variant, k) for level in levels])
+            if obstacle is not None:
+                np.minimum(new, obstacle[sl], out=new)
+            if clip:
+                np.minimum(new, values[sl], out=new)
+            # np.maximum keeps a NaN change, which the builtin max drops
+            change = float(np.maximum(change, np.max(np.abs(new - values[sl]))))
+            monotone = monotone and bool(np.all(new <= values[sl]))
+            values[sl] = new
         iterations += 1
         stop = iterations == max_iter or not math.isfinite(change)
         if change <= tol or stop:
@@ -397,8 +408,8 @@ def jacobi(tree: TruncatedTree, variant: str, k: int | None, tol: float, max_ite
             if defect <= tol or stop or not math.isfinite(defect):
                 break
     mask = None if obstacle is None else np.abs(values - obstacle) <= tol
-    return JacobiRun(TreeFunction(tree, values), iterations, defect, defect <= tol, monotone,
-                     change, mask)
+    return DescentRun(TreeFunction(tree, values), iterations, defect, defect <= tol, monotone,
+                      change, mask)
 
 
 def exact_one_pass(m: int, depth: int, variant: str, k: int | None = None, leaves=None,

@@ -141,6 +141,21 @@ class TestDatumFamilies:
             load_datum_csv(str(path))
         assert str(file.value) == f"{path}: row {number + 1}: {reason}"
 
+    def test_one_knot_check_per_file(self, tmp_path, monkeypatch):
+        # the reader leaves the knot check to the datum it builds: one pass
+        # over the knots per file
+        import treeconvex.boundary as boundary
+
+        calls, real = [], boundary._knot_error
+        monkeypatch.setattr(boundary, "_knot_error", lambda pts: calls.append(1) or real(pts))
+        path = tmp_path / "d.csv"
+        for n in (2, 5, 513):
+            t = np.linspace(0, 1, n).tolist()
+            path.write_text("t,g\n" + "".join(f"{x!r},{x * x!r}\n" for x in t))
+            calls.clear()
+            assert load_datum_csv(str(path)).knots[-1] == (1.0, 1.0)
+            assert len(calls) == 1, n
+
 
 # each builtin family: its spec, the parameters that build the same datum
 # directly, and g written out apart from the library's table, bit for bit

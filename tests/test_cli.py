@@ -278,8 +278,9 @@ class TestSolve:
         assert all(x is None or np.isfinite(x) for x in series["root_values"] + series["deltas"])
 
     def test_data_in_the_thousands_converge(self, tmp_path):
-        # the rounding of the direct engine's evaluation grows with the data;
-        # at these sizes it alone would stop above the default tol of 1e-12
+        # the rounding of an evaluation grows with the data: at these sizes it
+        # can leave the defect above the default tol of 1e-12, but within the
+        # allowance of 4 ulps of max|u| per level (max|u| is at most 7000)
         datum = tmp_path / "g.csv"
         datum.write_text("t,g\n0,3000\n0.3,0\n0.5,7000\n1,1000\n")
         out_json = tmp_path / "r.json"
@@ -287,7 +288,7 @@ class TestSolve:
                    "--out-json", str(out_json)) == 0
         report = json.loads(out_json.read_text())
         assert report["converged"] is True and report["monotone"] is True
-        assert report["final_residual"] <= 1e-12
+        assert report["final_residual"] <= 1e-12 + 4 * 8 * np.spacing(7000.0)
         tree = TruncatedTree(2, 6)
         fn = tmp_path / "f.csv"
         write_function(fn, tree, 4096 * np.random.default_rng(7).standard_normal(tree.vertex_count))
