@@ -1,16 +1,15 @@
-"""Independent routes to the brute-force constraint arrays of
-`treeconvex.convexity`, to the greatest function that satisfies them, and to
-the function-CSV reader of `treeconvex.cli`, for tests only.
+"""Independent routes, for tests only: the definitional convexity
+constraints by brute force, the greatest function that satisfies them, and
+the function-CSV reader of `treeconvex.cli`.
 
 Vertices are plain digit tuples, enumerated level by level with
 `itertools.product`; nothing here uses the library's geometry.  The minimal
 path between two vertices runs through their common digit prefix, an edge
 down to level k has the exact length `Fraction(1, m**k)`, and a binary or
-k-ary subtree is the tuple of its endpoints.  The rows come in the library's
-order: the segment arrays are the layout `is_convex_segment` evaluates, so
-the tests demand bitwise equality there; the library checks subtrees by
-per-level averages, which the tests hold to these rows within a rounding
-bound.
+k-ary subtree is the tuple of its endpoints.  Every segment and every
+subtree is one row; the library checks both definitions by one
+leaves-to-root pass each, which the tests hold to the verdicts on these
+rows.
 The pointwise operators, second-difference families and Laplacians read one
 vertex's neighbours by digits, for comparison with the library's level
 kernels, and the closed-form reference functions are built here exactly.

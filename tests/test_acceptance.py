@@ -128,28 +128,39 @@ def test_criterion_1_reference_fixed_points():
     assert gaps == expected_gaps, f"m=2 gaps {gaps}, expected {expected_gaps}"
 
 
+def _seeded_functions(tree: TruncatedTree, rng, noise: int, envelopes: int,
+                      perturbed: int) -> list[tuple[TreeFunction, str]]:
+    """Noise, convex and binary envelopes (alternating), and convex envelopes
+    with noise added, in that order."""
+    m, depth = tree.m, tree.depth
+    functions = [(random_function(tree, rng), f"noise m={m} d={depth} #{i}")
+                 for i in range(noise)]
+    for i in range(envelopes):
+        g = rng.uniform(0, 1, tree.leaf_count)
+        variant = "convex" if i % 2 == 0 else "binary"
+        u = solve_dirichlet(tree, g, SolveConfig(variant=variant)).solution
+        functions.append((u, f"{variant}-envelope m={m} d={depth} #{i}"))
+    for i in range(perturbed):
+        g = rng.uniform(0, 1, tree.leaf_count)
+        u = solve_dirichlet(tree, g, SolveConfig(variant="convex")).solution
+        bumped = u.values + 0.05 * rng.standard_normal(tree.vertex_count)
+        functions.append((TreeFunction.from_values(tree, bumped),
+                          f"perturbed m={m} d={depth} #{i}"))
+    return functions
+
+
 def _criterion_2_suite():
-    """200 seeded random functions plus 20 hand-built cases on trees where
-    both brute-force budgets admit full-depth checking."""
+    """200 seeded random functions on trees small enough for the oracle's
+    brute force, 24 more at m=2 depth 10 and m=3 depth 6, and 20 hand-built
+    cases."""
     rng = np.random.default_rng(20250809)
-    combos = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]
     functions: list[tuple[TreeFunction, str]] = []
-    for m, depth in combos:
-        tree = TruncatedTree(m, depth)
-        for i in range(20):
-            functions.append((random_function(tree, rng), f"noise m={m} d={depth} #{i}"))
-        for i in range(10):
-            g = rng.uniform(0, 1, tree.leaf_count)
-            variant = "convex" if i % 2 == 0 else "binary"
-            u = solve_dirichlet(tree, g, SolveConfig(variant=variant)).solution
-            functions.append((u, f"{variant}-envelope m={m} d={depth} #{i}"))
-        for i in range(10):
-            g = rng.uniform(0, 1, tree.leaf_count)
-            u = solve_dirichlet(tree, g, SolveConfig(variant="convex")).solution
-            bumped = u.values + 0.05 * rng.standard_normal(tree.vertex_count)
-            functions.append((TreeFunction.from_values(tree, bumped),
-                              f"perturbed m={m} d={depth} #{i}"))
+    for m, depth in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]:
+        functions += _seeded_functions(TruncatedTree(m, depth), rng, 20, 10, 10)
     assert len(functions) == 200
+    rng = np.random.default_rng(20261022)
+    for m, depth in [(2, 10), (3, 6)]:
+        functions += _seeded_functions(TruncatedTree(m, depth), rng, 4, 4, 4)
 
     adversarial: list[tuple[TreeFunction, str]] = []
     for m, depth in [(2, 4), (3, 3)]:
@@ -180,8 +191,8 @@ def _criterion_2_suite():
 
 def test_criterion_2_characterization_equivalence():
     """Operator-form and definition-form verdicts agree on the whole suite
-    (tol 1e-9), for plain convexity and for binary convexity with full-depth
-    subtree enumeration."""
+    (tol 1e-9), for plain convexity (segments) and for binary convexity
+    (every finite binary subtree, down to the leaves)."""
     start = time.monotonic()
     suite = _criterion_2_suite()
     mismatches = []
@@ -191,7 +202,6 @@ def test_criterion_2_characterization_equivalence():
         convex_seg = is_convex_segment(u, 1e-9)
         binary_op = is_binary_convex(u, 1e-9, mode="operator")
         binary_sub = is_binary_convex(u, 1e-9, mode="subtrees")
-        assert convex_seg.skipped is None and binary_sub.skipped is None, label
         if convex_op.ok != convex_seg.ok:
             mismatches.append((label, "convex", convex_op.ok, convex_seg.ok))
         if binary_op.ok != binary_sub.ok:
@@ -204,7 +214,12 @@ def test_criterion_2_characterization_equivalence():
            f"{len(suite)} functions, {len(mismatches)} verdict mismatches, {elapsed:.1f}s")
     assert elapsed <= 60.0, f"runtime {elapsed:.1f}s over the 60s budget"
     assert not mismatches, mismatches
-    # guard against vacuous agreement: known verdicts on hand-built cases
+    # guard against vacuous agreement: known verdicts on hand-built cases,
+    # and on the sizes past the brute force's old budgets
+    for size in ("m=2 d=10", "m=3 d=6"):
+        assert pinned[f"convex-envelope {size} #0"] == (True, True)
+        assert pinned[f"noise {size} #0"] == (False, False)
+        assert pinned[f"perturbed {size} #0"] == (False, False)
     for m in (2, 3):
         assert pinned[f"constant m={m}"] == (True, True)
         assert pinned[f"convex-ref m={m}"] == (True, True)

@@ -525,8 +525,9 @@ class TestCheck:
         assert checks["segment"]["ok"] is False
 
     def test_subtree_check_at_the_budget_edge(self, tmp_path):
-        # m=2 depth 5 is the largest binary tree the subtree budget admits;
-        # its root's 458,329 subtrees are checked block by block
+        # m=2 depth 5 was the largest binary tree the brute force's subtree
+        # budget admitted (458,329 subtrees at the root); one pass checks its
+        # 31 interior vertices
         tree = TruncatedTree(2, 5)
         g = np.random.default_rng(157).uniform(0, 1, tree.leaf_count)
         values = solve_dirichlet(tree, g, SolveConfig(variant="convex")).solution.values.copy()
@@ -541,7 +542,7 @@ class TestCheck:
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
         subtrees = json.loads(outs[0])["checks"]["binary_subtrees"]
-        assert subtrees == {"ok": False, "checked": 459_829, "violations": [str(raised)]}
+        assert subtrees == {"ok": False, "checked": 31, "violations": [str(raised)]}
 
     def test_noise_function_fails_with_violations(self, tmp_path):
         rng = np.random.default_rng(149)
@@ -576,16 +577,21 @@ class TestCheck:
         assert run("check", "--m", "2", "--depth", "2", "--function", str(fn)) == 0
         assert capsys.readouterr().out == out_json.read_text()
 
-    def test_budget_skip_marked(self, tmp_path):
-        tree = TruncatedTree(3, 4)
-        fn = tmp_path / "f.csv"
-        write_function(fn, tree, np.zeros(tree.vertex_count))
-        out_json = tmp_path / "checks.json"
-        assert run("check", "--m", "3", "--depth", "4", "--function", str(fn),
-                   "--out-json", str(out_json)) == 0
-        checks = json.loads(out_json.read_text())["checks"]
-        assert checks["binary_subtrees"]["ok"] is None
-        assert "budget" in checks["binary_subtrees"]["skipped"]
+    def test_every_check_runs_past_the_old_budgets(self, tmp_path):
+        # m=3 depth 4 has over 10^6 binary subtrees and 121 vertices: the
+        # brute force skipped the subtree check here, and segments from 513
+        # vertices on
+        for m, depth in [(3, 4), (2, 9)]:
+            tree = TruncatedTree(m, depth)
+            fn = tmp_path / "f.csv"
+            write_function(fn, tree, np.zeros(tree.vertex_count))
+            out_json = tmp_path / "checks.json"
+            assert run("check", "--m", str(m), "--depth", str(depth), "--function", str(fn),
+                       "--out-json", str(out_json)) == 0
+            checks = json.loads(out_json.read_text())["checks"]
+            for name in ("convex_operator", "binary_operator", "segment", "binary_subtrees"):
+                assert checks[name] == {"ok": True, "checked": tree.interior_count,
+                                        "violations": []}, name
 
     def test_solution_csv_round_trips(self, tmp_path):
         rng = np.random.default_rng(151)
